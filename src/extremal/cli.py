@@ -3,7 +3,7 @@
 Every emitted report embeds its full run configuration; re-running that
 configuration reproduces the result section byte-for-byte (timestamps live
 in a separate field).  Exit codes: 0 = no FAIL, 1 = FAIL found, 2 = invalid
-invocation.
+invocation, 3 = search stopped by its budget before it was complete.
 """
 
 from __future__ import annotations
@@ -318,6 +318,10 @@ def cmd_search(args) -> int:
         Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                   encoding="utf-8")
     print(json.dumps(report["result"], sort_keys=True))
+    if not result.complete:
+        print(f"note: budget ran out after {result.evaluations} evaluations; "
+              "max_size is a lower bound, not the maximum", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -133,7 +133,7 @@ def kk_min_shadow(n: int, k: int, m: int, l: int) -> int:
     return len(shadow(seg, l))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _lex_cross_intersecting(n: int, a: int, b: int, ma: int, mb: int) -> bool:
     ground = tuple(range(1, n + 1))
     la = lex_masks(ground, a, ma)

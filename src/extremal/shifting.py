@@ -54,24 +54,22 @@ def weight(fam: SetFamily) -> int:
     return total
 
 
+def _pairs(n: int):
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            yield i, j
+
+
 def is_shifted(fam: SetFamily) -> bool:
     """Fixed by every (i,j)-shift; equivalent to being an initial family."""
-    for i in range(1, fam.n):
-        for j in range(i + 1, fam.n + 1):
-            if shift(fam, i, j) != fam:
-                return False
-    return True
+    return is_initial_on(fam, fam.n)
 
 
 def is_initial_on(fam: SetFamily, m: int) -> bool:
     """Fixed by every (i,j)-shift with j <= m."""
     if m > fam.n:
         raise ValueError(f"m={m} exceeds n={fam.n}")
-    for i in range(1, m):
-        for j in range(i + 1, m + 1):
-            if shift(fam, i, j) != fam:
-                return False
-    return True
+    return all(shift(fam, i, j) == fam for i, j in _pairs(m))
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +199,6 @@ class ShiftTrace:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _pairs(n: int):
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            yield i, j
-
-
 def shift_resistant_pairs(families: Sequence[SetFamily], prop) -> list[tuple[int, int]]:
     """Pairs whose simultaneous shift moves some slot but breaks the property.
 
@@ -223,13 +215,17 @@ def shift_resistant_pairs(families: Sequence[SetFamily], prop) -> list[tuple[int
     return out
 
 
-def shift_ad_extremis(families: Sequence[SetFamily], prop) -> tuple[tuple[SetFamily, ...], ShiftTrace]:
+def shift_ad_extremis(
+    families: Sequence[SetFamily], prop, upto: int | None = None
+) -> tuple[tuple[SetFamily, ...], ShiftTrace]:
     """Apply simultaneous shifts while they preserve the property, to a fixpoint.
 
-    Repeated full passes over pairs (i,j) in lexicographic order, re-attempting
-    previously blocked pairs each pass; termination is guaranteed because total
-    weight strictly decreases on every applied step.  The output satisfies the
-    property, and every pair either fixes all slots or would break the property.
+    Repeated full passes over pairs (i,j) with j <= upto (default n) in
+    lexicographic order, re-attempting previously blocked pairs each pass;
+    termination is guaranteed because total weight strictly decreases on every
+    applied step.  The output satisfies the property, and every such pair either
+    fixes all slots or would break the property.  The pairs blocked in the final
+    pass, which applies no shift, are the trace's resistant pairs.
     """
     fams = tuple(families)
     if not fams:
@@ -237,6 +233,10 @@ def shift_ad_extremis(families: Sequence[SetFamily], prop) -> tuple[tuple[SetFam
     n = fams[0].n
     if any(f.n != n for f in fams):
         raise ValueError("all slots must share the ground set")
+    if upto is None:
+        upto = n
+    elif upto > n:
+        raise ValueError(f"upto={upto} exceeds n={n}")
     if not prop.holds(fams):
         raise ValueError("property does not hold on the input tuple")
 
@@ -244,7 +244,8 @@ def shift_ad_extremis(families: Sequence[SetFamily], prop) -> tuple[tuple[SetFam
     changed = True
     while changed:
         changed = False
-        for i, j in _pairs(n):
+        blocked = {}  # (i,j) -> moved per slot, for this pass
+        for i, j in _pairs(upto):
             shifted = tuple(shift(f, i, j) for f in fams)
             if all(s == f for s, f in zip(shifted, fams)):
                 continue
@@ -255,12 +256,10 @@ def shift_ad_extremis(families: Sequence[SetFamily], prop) -> tuple[tuple[SetFam
                     trace.steps_truncated += 1
                 fams = shifted
                 changed = True
+            else:
+                blocked[(i, j)] = tuple(s != f for s, f in zip(shifted, fams))
 
     trace.final_weights = tuple(weight(f) for f in fams)
-    for i, j in _pairs(n):
-        shifted = tuple(shift(f, i, j) for f in fams)
-        moved = tuple(s != f for s, f in zip(shifted, fams))
-        if any(moved) and not prop.holds(shifted):
-            trace.resistant_pairs.append((i, j))
-            trace.resistant_blame[(i, j)] = moved
+    trace.resistant_pairs = list(blocked)
+    trace.resistant_blame = blocked
     return fams, trace

@@ -21,7 +21,7 @@ from ..core import SetFamily, elems_of, enumerate_ksubsets
 from ..core import _unit_predecessors
 from ..measures import is_r_wise_t_intersecting
 from ..order import kk_min_shadow
-from ..shifting import ALWAYS, shift, shift_ad_extremis
+from ..shifting import ALWAYS, shift_ad_extremis
 from .registry import REGISTRY, Instance, StatementReport, check_statement
 
 DEFAULT_BUDGET = 10**8
@@ -65,24 +65,6 @@ def _keep(rng: random.Random, masks, keep: float) -> list[int]:
     return [m for m in masks if rng.random() < keep]
 
 
-def _full_shift(fams: tuple[SetFamily, ...]) -> tuple[SetFamily, ...]:
-    out, _ = shift_ad_extremis(fams, ALWAYS)
-    return out
-
-
-def _prefix_shift(fams: tuple[SetFamily, ...], m: int) -> tuple[SetFamily, ...]:
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, m):
-            for j in range(i + 1, m + 1):
-                shifted = tuple(shift(f, i, j) for f in fams)
-                if shifted != fams:
-                    fams = shifted
-                    changed = True
-    return fams
-
-
 def _saturate_random(fam: SetFamily, ok_add, rng: random.Random) -> SetFamily:
     members = set(fam.members)
     cands = list(enumerate_ksubsets(fam.n, fam.k))
@@ -118,14 +100,14 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
         return SetFamily(n, k, sorted(members), _trusted=True)
     if mode == "shifted":
         base = gen_family(rng, {"mode": "uniform", "n": n, "k": k, "density": spec.get("density", 0.5)})
-        return _full_shift((base,))[0]
+        return shift_ad_extremis((base,), ALWAYS)[0][0]
     if mode == "shifted-star":
         base = gen_family(
             rng,
             {"mode": "star-perturbation", "n": n, "k": k, "t": spec.get("t", 1),
              "keep": spec.get("keep", 0.8), "adds": 0},
         )
-        return _full_shift((base,))[0]
+        return shift_ad_extremis((base,), ALWAYS)[0][0]
     if mode == "frankl-sub":
         fam = frankl_family(n, k, spec.get("t", 1))
         return SetFamily(n, k, _keep(rng, fam.members, spec.get("keep", 0.8)), _trusted=True)
@@ -194,7 +176,7 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         a = SetFamily(n, k, _keep(rng, star.members, spec.get("keep_a", 0.8)), _trusted=True)
         b = SetFamily(n, k, _keep(rng, star.members, spec.get("keep_b", 0.8)), _trusted=True)
         return a, b
-    if mode in ("cross-dual", "cross-shifted", "cross-shifted-prefix"):
+    if mode in ("cross-dual", "cross-shifted"):
         a_fam = gen_family(rng, spec["base"])
         t = spec.get("t", 1)
         l = spec.get("l", a_fam.k)
@@ -202,12 +184,9 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         b_fam = SetFamily(
             a_fam.n, l, _keep(rng, dual, spec.get("density_b", 0.5)), _trusted=True
         )
-        pair = (a_fam, b_fam)
         if mode == "cross-shifted":
-            pair = _full_shift(pair)
-        elif mode == "cross-shifted-prefix":
-            pair = _prefix_shift(pair, a_fam.n - spec.get("suffix", 8))
-        return pair
+            return shift_ad_extremis((a_fam, b_fam), ALWAYS)[0]
+        return a_fam, b_fam
     if mode == "lem37":
         # cross pair with members anchored at the two top elements, initial on [n-8]
         n, k = spec["n"], spec["k"]
@@ -223,7 +202,7 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         a_fam = SetFamily(n, k, sorted(members), _trusted=True)
         dual = _dual_members(a_fam, k, 1)
         b_fam = SetFamily(n, k, _keep(rng, dual, spec.get("density_b", 0.6)), _trusted=True)
-        return _prefix_shift((a_fam, b_fam), low)
+        return shift_ad_extremis((a_fam, b_fam), ALWAYS, upto=low)[0]
     raise ValueError(f"unknown pair mode {mode!r}")
 
 
@@ -326,25 +305,25 @@ def initial_families(n: int, k: int):
     return out
 
 
-def _estimate_space(space: str, grid: dict, params: dict) -> int:
-    """Exact (or near-exact) instance counts so refusals carry honest estimates."""
+def _estimate_space(space: str, grid: dict, params: dict) -> tuple[int, bool]:
+    """Instance count and whether it is exact; past the size caps it is an upper bound."""
     n, k = grid["n"], grid["k"]
     m = comb(n, k)
     if space == "families":
-        return 2**m
+        return 2**m, True
     # downset enumeration is output-sensitive, so exact counts stay cheap
     if space == "initial":
-        return len(initial_families(n, k)) if m <= 70 else 2**m
+        return (len(initial_families(n, k)), True) if m <= 70 else (2**m, False)
     if space == "initial-pairs":
         l = grid.get("l", k)
         if max(m, comb(n, l)) > 70:
-            return 2**m * 2 ** comb(n, l)
+            return 2**m * 2 ** comb(n, l), False
         left = len(initial_families(n, k))
         right = len(initial_families(n, l)) if l != k else left
-        return left * right
+        return left * right, True
     if space == "dual-pairs":
         if m > 22:
-            return 4**m
+            return 4**m, False
         t = params.get("t", 1)
         l = grid.get("l", k)
         a_masks = enumerate_ksubsets(n, k)
@@ -358,7 +337,7 @@ def _estimate_space(space: str, grid: dict, params: dict) -> int:
         total = 0
         for abits in range(1 << m):
             total += 1 << sum(1 for row in compat if not abits & ~row)
-        return total
+        return total, True
     raise ValueError(f"unknown space {space!r}")
 
 
@@ -573,9 +552,11 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
     else:
         if sid == "KRUSKAL_KATONA" and space == "families":
             return _kk_exhaustive(grid["n"], grid["k"], params.get("l", 1), config, budget)
-        est = 2 * _estimate_space(space, grid, params)
+        count, exact = _estimate_space(space, grid, params)
+        est = 2 * count
         if est > budget:
-            raise BudgetError(f"estimated {est} evaluations exceed budget {budget}")
+            bound = "" if exact else " (an upper bound: the space is too large to count)"
+            raise BudgetError(f"estimated {est} evaluations{bound} exceed budget {budget}")
         instances = _space_instances(space, grid, params)
     return _consume(sid, instances, config, budget, threads=threads)
 

@@ -104,7 +104,6 @@ class Statement:
 @dataclass
 class StatementReport:
     id: str
-    descriptor: str
     verdict: str  # pass | vacuous | FAIL
     elapsed: float
     witness: dict | None = None
@@ -1003,16 +1002,13 @@ def check_statement(sid: str, instance: Instance) -> StatementReport:
     stmt = REGISTRY[sid]
     t0 = time.perf_counter()
     if not stmt.hypothesis(instance):
-        return StatementReport(sid, instance.descriptor(), "vacuous", time.perf_counter() - t0)
+        return StatementReport(sid, "vacuous", time.perf_counter() - t0)
     ok = stmt.conclusion(instance)
     extras = stmt.extras(instance) if stmt.extras else {}
     if ok:
-        return StatementReport(
-            sid, instance.descriptor(), "pass", time.perf_counter() - t0, extras=extras
-        )
+        return StatementReport(sid, "pass", time.perf_counter() - t0, extras=extras)
     return StatementReport(
         sid,
-        instance.descriptor(),
         "FAIL",
         time.perf_counter() - t0,
         witness=instance.to_witness(sid),

@@ -200,6 +200,16 @@ class TestSearchCommand:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["max_size"] == 3 and out["complete"]
 
+    def test_search_out_of_budget_exits_3(self, capsys):
+        rc = main(["--budget", "50", "search", "n=7", "k=3",
+                   "--prop", "intersecting&rho<=1/2"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        out = json.loads(captured.out.strip().splitlines()[-1])
+        assert not out["complete"]
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "lower bound" in captured.err
+
     def test_search_needs_dims(self):
         assert main(["search", "--prop", "intersecting"]) == 2
 

@@ -138,6 +138,12 @@ class TestHilton:
     def test_empty(self):
         assert hilton_transfer(SetFamily(4, 2, []), SetFamily(4, 2, []))
 
+    def test_lex_cache_is_bounded(self):
+        from extremal.order import _lex_cross_intersecting
+
+        maxsize = _lex_cross_intersecting.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             hilton_transfer(fam(5, 2, (1, 2)), fam(5, 2, (3, 4)))

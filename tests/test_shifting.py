@@ -268,3 +268,133 @@ class TestAdExtremis:
             m = min(touched) - 1 if touched else f.n
             if m >= 2:
                 assert is_initial_on(out[0], m)
+
+
+# ---------------------------------------------------------------------------
+# The single shift loop against the two implementations it replaced.
+# ---------------------------------------------------------------------------
+
+
+def two_loop_ad_extremis(families, prop):
+    """Shift to a fixpoint, then find resistant pairs in a separate full pass."""
+    fams = tuple(families)
+    n = fams[0].n
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        for i, j in pairs:
+            shifted = tuple(shift(f, i, j) for f in fams)
+            if all(s == f for s, f in zip(shifted, fams)):
+                continue
+            if prop.holds(shifted):
+                steps.append(((i, j), tuple(weight(f) for f in fams)))
+                fams = shifted
+                changed = True
+    final_weights = tuple(weight(f) for f in fams)
+    resistant, blame = [], {}
+    for i, j in pairs:
+        shifted = tuple(shift(f, i, j) for f in fams)
+        moved = tuple(s != f for s, f in zip(shifted, fams))
+        if any(moved) and not prop.holds(shifted):
+            resistant.append((i, j))
+            blame[(i, j)] = moved
+    return fams, steps, final_weights, resistant, blame
+
+
+def unguarded_prefix_shift(fams, m):
+    """Apply every (i,j)-shift with j <= m until none moves the tuple."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, m):
+            for j in range(i + 1, m + 1):
+                shifted = tuple(shift(f, i, j) for f in fams)
+                if shifted != fams:
+                    fams = shifted
+                    changed = True
+    return fams
+
+
+def assert_same_as_two_loop(fams, prop):
+    out, trace = shift_ad_extremis(fams, prop)
+    want_out, steps, final_weights, resistant, blame = two_loop_ad_extremis(fams, prop)
+    assert out == want_out
+    assert trace.steps == steps and trace.steps_truncated == 0
+    assert trace.final_weights == final_weights
+    assert trace.resistant_pairs == resistant
+    assert trace.resistant_blame == blame
+    return trace
+
+
+class TestSingleLoopOracle:
+    def test_all_families_5_2(self):
+        masks = enumerate_ksubsets(5, 2)
+        guards = (
+            ALWAYS,
+            And((MatchingAtMost(0, 1),)),
+            And((RhoAtMost(0, Fraction(1, 2)),)),
+            And((NonTrivial(0),)),
+        )
+        runs = {g: 0 for g in guards}
+        resistant = 0
+        for bits in range(1 << len(masks)):
+            f = SetFamily(5, 2, [masks[i] for i in range(len(masks)) if bits >> i & 1])
+            for prop in guards:
+                if prop.holds((f,)):
+                    runs[prop] += 1
+                    resistant += bool(assert_same_as_two_loop((f,), prop).resistant_pairs)
+        assert runs[ALWAYS] == 1 << 10
+        assert min(runs.values()) > 50
+        assert resistant > 100
+
+    def test_cross_pairs_7_3(self):
+        rng = random.Random(12)
+        masks = enumerate_ksubsets(7, 3)
+        prop = And((
+            CrossTIntersecting(0, 1, 1),
+            RhoAtMost(0, Fraction(2, 3)),
+            RhoAtMost(1, Fraction(2, 3)),
+        ))
+        ran = blocked = 0
+        while ran < 40:
+            a = SetFamily(7, 3, [m for m in masks if rng.random() < 0.2])
+            dual = [c for c in masks if all(c & m for m in a.members)]
+            b = SetFamily(7, 3, [c for c in dual if rng.random() < 0.5])
+            if not (a.members and b.members and prop.holds((a, b))):
+                continue
+            blocked += bool(assert_same_as_two_loop((a, b), prop).resistant_pairs)
+            ran += 1
+        assert blocked > 10
+
+    def test_upto_matches_prefix_shift(self):
+        rng = random.Random(13)
+        masks = enumerate_ksubsets(8, 3)
+        for _ in range(40):
+            a = SetFamily(8, 3, [m for m in masks if rng.random() < 0.3])
+            b = SetFamily(8, 3, [m for m in masks if rng.random() < 0.3])
+            for upto in (-1, 0, 1, 2, 5, 8):
+                out, trace = shift_ad_extremis((a, b), ALWAYS, upto=upto)
+                assert out == unguarded_prefix_shift((a, b), upto)
+                assert all(j <= upto for (_, j), _ in trace.steps)
+                if upto < 2:
+                    assert out == (a, b) and trace.steps == []
+                else:
+                    assert all(is_initial_on(f, upto) for f in out)
+        assert shift_ad_extremis((a, b), ALWAYS, upto=8) == shift_ad_extremis((a, b), ALWAYS)
+
+    def test_upto_bounds_resistant_pairs(self):
+        rng = random.Random(14)
+        for _ in range(30):
+            f = rand_family(rng, 7, 3, 0.2)
+            prop = And((RhoAtMost(0, Fraction(1, 2)),))
+            if not prop.holds((f,)):
+                continue
+            out, trace = shift_ad_extremis((f,), prop, upto=5)
+            want = [(i, j) for i, j in shift_resistant_pairs(out, prop) if j <= 5]
+            assert trace.resistant_pairs == want
+
+    def test_upto_above_n_raises(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            shift_ad_extremis((fam(4, 2, (2, 3)),), ALWAYS, upto=5)

@@ -94,6 +94,15 @@ class TestCheckStatement:
         with pytest.raises(ValueError):
             check_statement("NOPE", Instance())
 
+    def test_does_not_describe_instances(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("check_statement built a descriptor")
+
+        monkeypatch.setattr(Instance, "descriptor", refuse)
+        f = fam(6, 3, (1, 2, 3), (4, 5, 6))
+        assert check_statement("PROP_1_3", Instance((f,), {"t": 1})).verdict == "vacuous"
+        assert check_statement("PROP_1_3", Instance((fano(),), {"t": 1})).verdict == "pass"
+
     def test_witness_round_trip(self):
         inst = Instance((fano(), full_star(7, 3, 1)), {"t": 1, "eps": Fraction(1, 58)})
         w = inst.to_witness("TOKUSHIGE")
@@ -138,9 +147,31 @@ class TestSweeps:
         assert json.dumps(rep["result"], sort_keys=True) == json.dumps(again["result"], sort_keys=True)
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as err:
             exhaustive_sweep("KATONA", {"n": 7, "k": 3, "space": "families",
                                         "params": {"t": 1, "l": 1}}, budget=1000)
+        assert "upper bound" not in str(err.value)  # 2**35 families is exact
+
+    @pytest.mark.parametrize(
+        "sid,grid",
+        [
+            ("EKR_1_1", {"n": 9, "k": 3, "space": "initial", "params": {"t": 1}}),
+            ("PROP_3_15", {"n": 9, "k": 3, "space": "initial-pairs"}),
+            ("PROP_3_15", {"n": 7, "k": 3, "space": "dual-pairs"}),
+        ],
+    )
+    def test_budget_refusal_flags_upper_bound(self, sid, grid):
+        # past the counting caps the estimate is 2**m or 4**m, not a count
+        with pytest.raises(BudgetError, match="upper bound"):
+            exhaustive_sweep(sid, grid)
+
+    def test_old_prefix_pair_mode_is_unknown(self):
+        from extremal.verify.harness import gen_pair
+
+        spec = {"mode": "cross-shifted-prefix",
+                "base": {"mode": "uniform", "n": 9, "k": 3}}
+        with pytest.raises(ValueError, match="unknown pair mode"):
+            gen_pair(random.Random(1), spec)
 
     def test_threads_match_serial(self):
         recipe = RECIPES["SUM_1_15"]
