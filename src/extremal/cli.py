@@ -34,6 +34,7 @@ from .verify import (
     BudgetError,
     default_budget,
     exhaustive_sweep,
+    load_suite,
     rerun_report,
     run_suite,
     sample_sweep,
@@ -243,7 +244,7 @@ def cmd_verify(args) -> int:
             original = json.loads(Path(args.rerun).read_text(encoding="utf-8"))
             reports = [rerun_report(original, threads=threads)]
         elif args.suite:
-            config = json.loads(Path(args.suite).read_text(encoding="utf-8"))
+            config = load_suite(args.suite)
             only = set(args.id.split(",")) if args.id else None
             reports = run_suite(config, threads=threads, only=only)
         elif args.exhaustive is not None:
@@ -325,36 +326,48 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _add_global_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    parser.add_argument("--format", choices=("text", "json", "csv"), default=defaults["format"])
+    parser.add_argument("--threads", type=int, default=defaults["threads"])
+    parser.add_argument("--seed", type=int, default=defaults["seed"])
+    parser.add_argument("--budget", type=int, default=defaults["budget"],
+                        help="evaluation budget (default from EXTREMAL_BUDGET)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extremal",
         description="Exact set-family combinatorics: constructions, measures, "
         "shifting fixpoints, shadows, statement sweeps, and extremal search.",
     )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--budget", type=int, default=None,
-                        help="evaluation budget (default from EXTREMAL_BUDGET)")
+    defaults = {"format": "text", "threads": os.cpu_count() or 1, "seed": 1, "budget": None}
+    _add_global_options(parser, defaults)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="materialize a named family")
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        # the global options are accepted after the subcommand too; a subcommand
+        # that is not given one keeps the value parsed before it
+        p = sub.add_parser(name, help=help)
+        _add_global_options(p, dict.fromkeys(defaults, argparse.SUPPRESS))
+        return p
+
+    p = add_command("construct", help="materialize a named family")
     p.add_argument("--id", required=True, choices=CONSTRUCTION_IDS)
     p.add_argument("--params", default="")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("measure", help="measure a family file")
+    p = add_command("measure", help="measure a family file")
     p.add_argument("infile")
     p.set_defaults(fn=cmd_measure)
 
-    p = sub.add_parser("shift", help="shift families ad extremis under a property")
+    p = add_command("shift", help="shift families ad extremis under a property")
     p.add_argument("infiles", nargs="+")
     p.add_argument("--prop", default="")
     p.add_argument("--out-prefix")
     p.set_defaults(fn=cmd_shift)
 
-    p = sub.add_parser("lex", help="write a lexicographic segment")
+    p = add_command("lex", help="write a lexicographic segment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -362,13 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_lex)
 
-    p = sub.add_parser("shadow", help="compute the l-th shadow of a family file")
+    p = add_command("shadow", help="compute the l-th shadow of a family file")
     p.add_argument("infile")
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_shadow)
 
-    p = sub.add_parser("verify", help="run statement sweeps")
+    p = add_command("verify", help="run statement sweeps")
     p.add_argument("--id", help="statement id (or comma list with --suite)")
     p.add_argument("--exhaustive", help="grid, e.g. n=5,k=2,t=1[,space=initial]")
     p.add_argument("--sample", help="options, e.g. n=24,k=3,d=2,count=200,seed=7")
@@ -377,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("search", help="exact max family size under a property")
+    p = add_command("search", help="exact max family size under a property")
     p.add_argument("kv", nargs="*", help="n=5 k=2 style positional options")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)

@@ -73,7 +73,7 @@ def triangle_family(n: int, k: int) -> SetFamily:
     win = prefix_mask(3)
     members = [m for m in enumerate_ksubsets(n, k) if (m & win).bit_count() >= 2]
     fam = SetFamily(n, k, members, _trusted=True)
-    assert len(fam) == 3 * comb0(n - 3, k - 2) + comb0(n - 3, k - 3)
+    assert len(fam) == triangle_size(n, k)
     return fam
 
 
@@ -146,8 +146,18 @@ def brace_daykin(n: int, r: int) -> list[SetFamily]:
             by_size.setdefault(m.bit_count(), []).append(m)
     slices = [SetFamily(n, s, ms) for s, ms in sorted(by_size.items())]
     total = sum(len(f) for f in slices)
-    assert total == (r + 2) * 2 ** (n - r - 1)
+    assert total == brace_daykin_size(n, r)
     return slices
+
+
+def triangle_size(n: int, k: int) -> int:
+    """Size 3*C(n-3, k-2) + C(n-3, k-3) of the triangle family."""
+    return 3 * comb0(n - 3, k - 2) + comb0(n - 3, k - 3)
+
+
+def brace_daykin_size(n: int, r: int) -> int:
+    """Total size (r+2) * 2^(n-r-1) of the Brace-Daykin family over all slices."""
+    return (r + 2) * 2 ** (n - r - 1)
 
 
 def g_value(n: int, k: int) -> int:
@@ -282,7 +292,7 @@ def build(name: str, params: tuple[int, ...]) -> NamedFamily:
         n, k = params
         fam = triangle_family(n, k)
         return _checked(
-            NamedFamily(name, params, (("triangle", fam),), 3 * comb0(n - 3, k - 2) + comb0(n - 3, k - 3))
+            NamedFamily(name, params, (("triangle", fam),), triangle_size(n, k))
         )
     if name == "threshold":
         n, k, q, a = params
@@ -305,7 +315,7 @@ def build(name: str, params: tuple[int, ...]) -> NamedFamily:
         n, r = params
         slices = brace_daykin(n, r)
         fams = tuple((f"s{f.k}", f) for f in slices)
-        return _checked(NamedFamily(name, params, fams, (r + 2) * 2 ** (n - r - 1)))
+        return _checked(NamedFamily(name, params, fams, brace_daykin_size(n, r)))
     if name == "blocks":
         k, l = params
         p_fam, r_fam = disjoint_blocks(k, l)

@@ -52,10 +52,6 @@ def as_mask(obj) -> int:
     return mask_of(obj)
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def prefix_mask(m: int) -> int:
     """Mask of the initial segment [m] = {1, ..., m} (m <= 0 gives the empty set)."""
     if m <= 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import SetFamily, enumerate_ksubsets, prefix_mask
 
@@ -43,14 +43,18 @@ def rho(fam: SetFamily) -> Fraction:
     return Fraction(max(degree_vector(fam)), len(fam.members))
 
 
-def common_elements(fam: SetFamily) -> int:
-    """Mask of elements lying in every member (the full ground set if empty)."""
-    m = (1 << fam.n) - 1
-    for mem in fam.members:
+def _common_mask(members: Iterable[int], n: int) -> int:
+    m = (1 << n) - 1
+    for mem in members:
         m &= mem
         if not m:
             break
     return m
+
+
+def common_elements(fam: SetFamily) -> int:
+    """Mask of elements lying in every member (the full ground set if empty)."""
+    return _common_mask(fam.members, fam.n)
 
 
 def is_star(fam: SetFamily, t: int = 1) -> bool:
@@ -58,9 +62,14 @@ def is_star(fam: SetFamily, t: int = 1) -> bool:
     return bool(fam.members) and common_elements(fam).bit_count() >= t
 
 
+def is_nontrivial_masks(members: Sequence[int], n: int) -> bool:
+    """Nonempty with no common element; the member masks may have any sizes."""
+    return bool(members) and _common_mask(members, n) == 0
+
+
 def is_nontrivial(fam: SetFamily) -> bool:
     """Nonempty with no common element."""
-    return bool(fam.members) and common_elements(fam) == 0
+    return is_nontrivial_masks(fam.members, fam.n)
 
 
 def is_t_intersecting(fam: SetFamily, t: int) -> bool:
@@ -109,6 +118,8 @@ def _min_intersection_over(members: Sequence[int], j: int, stop_below: int | Non
     j = min(j, len(members))
     cur = set(members)
     best = min(m.bit_count() for m in cur)
+    if stop_below is not None and best < stop_below:
+        return best
     for _ in range(j - 1):
         nxt = set()
         for s in cur:
@@ -121,17 +132,18 @@ def _min_intersection_over(members: Sequence[int], j: int, stop_below: int | Non
     return best
 
 
-def is_r_wise_t_intersecting(fam: SetFamily, r: int, t: int) -> bool:
-    """Every r members (repetition allowed) have a common intersection >= t."""
+def is_r_wise_t_intersecting_masks(members: Sequence[int], r: int, t: int) -> bool:
+    """Every r member masks (repetition allowed, any sizes) share >= t elements."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
-    if not fam.members:
+    if not members or t <= 0:
         return True
-    if t <= 0:
-        return True
-    if fam.k < t:
-        return False
-    return _min_intersection_over(fam.members, r, stop_below=t) >= t
+    return _min_intersection_over(members, r, stop_below=t) >= t
+
+
+def is_r_wise_t_intersecting(fam: SetFamily, r: int, t: int) -> bool:
+    """Every r members (repetition allowed) have a common intersection >= t."""
+    return is_r_wise_t_intersecting_masks(fam.members, r, t)
 
 
 def t_level(fam: SetFamily, j: int) -> int:
@@ -146,18 +158,24 @@ def t_level(fam: SetFamily, j: int) -> int:
     return _min_intersection_over(fam.members, j)
 
 
+def pseudo_windows(n: int, k: int, t: int) -> list[tuple[int, int]]:
+    """The pairs ([2l+t] cut at n, l+t) for l in [0, k-t], as (mask, points needed)."""
+    return [(prefix_mask(min(2 * l + t, n)), l + t) for l in range(k - t + 1)]
+
+
+def meets_pseudo_window(m: int, windows: Sequence[tuple[int, int]]) -> bool:
+    """Whether the set meets some window of `pseudo_windows` in enough points."""
+    return any((m & w).bit_count() >= need for w, need in windows)
+
+
 def is_pseudo_t_intersecting(fam: SetFamily, t: int) -> bool:
     """Each member F has some l in [0, k-t] with |F ∩ [2l+t]| >= l+t."""
     if not fam.members:
         return True
-    k = fam.k
-    if t > k:
+    if t > fam.k:
         return False
-    windows = [(prefix_mask(min(2 * l + t, fam.n)), l + t) for l in range(k - t + 1)]
-    for m in fam.members:
-        if not any((m & w).bit_count() >= need for w, need in windows):
-            return False
-    return True
+    windows = pseudo_windows(fam.n, fam.k, t)
+    return all(meets_pseudo_window(m, windows) for m in fam.members)
 
 
 def matching_number(fam: SetFamily) -> int:
@@ -245,27 +263,63 @@ def transversal_number(fam: SetFamily, t: int) -> int:
     return best
 
 
+def addable_t_intersecting(t: int):
+    """Addability test: a k-set can join when it meets every member in >= t points."""
+
+    def addable(members: set, cand: int) -> bool:
+        return all((cand & m).bit_count() >= t for m in members)
+
+    return addable
+
+
+def addable_r_wise(r: int):
+    """Addability test: a k-set can join when the family stays r-wise intersecting."""
+
+    def addable(members: set, cand: int) -> bool:
+        return is_r_wise_t_intersecting_masks((*members, cand), r, 1)
+
+    return addable
+
+
+def is_saturated(fam: SetFamily, addable) -> bool:
+    """Nonempty, and no k-set outside the family passes the addability test."""
+    if not fam.members:
+        return False
+    have = set(fam.members)
+    return not any(
+        cand not in have and addable(have, cand) for cand in enumerate_ksubsets(fam.n, fam.k)
+    )
+
+
+def grow(fam: SetFamily, addable, candidates: Sequence[int]) -> SetFamily:
+    """Add candidates, in the given order, that pass the addability test, until none does.
+
+    Repeated passes handle non-hereditary tests; the result is maximal.
+    """
+    members = set(fam.members)
+    changed = True
+    while changed:
+        changed = False
+        for cand in candidates:
+            if cand not in members and addable(members, cand):
+                members.add(cand)
+                changed = True
+    return SetFamily(fam.n, fam.k, sorted(members), _trusted=True)
+
+
 def saturate(fam: SetFamily, prop) -> SetFamily:
     """Grow the family in canonical order until no further k-set keeps `prop`.
 
     `prop` is a single-slot PropertySpec (or any object with holds(tuple)).
-    Repeated passes handle non-hereditary properties; the result is maximal.
     """
     if not prop.holds((fam,)):
         raise ValueError("property does not hold on the input family")
-    members = set(fam.members)
-    universe = enumerate_ksubsets(fam.n, fam.k)
-    changed = True
-    while changed:
-        changed = False
-        for cand in universe:
-            if cand in members:
-                continue
-            trial = SetFamily(fam.n, fam.k, sorted(members | {cand}), _trusted=True)
-            if prop.holds((trial,)):
-                members.add(cand)
-                changed = True
-    return SetFamily(fam.n, fam.k, sorted(members), _trusted=True)
+
+    def addable(members: set, cand: int) -> bool:
+        trial = SetFamily(fam.n, fam.k, sorted(members | {cand}), _trusted=True)
+        return prop.holds((trial,))
+
+    return grow(fam, addable, enumerate_ksubsets(fam.n, fam.k))
 
 
 @dataclass(frozen=True)

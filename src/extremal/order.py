@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import SetFamily, as_mask, comb0, elems_of, mask_of
+from .core import SetFamily, as_mask, elems_of, mask_of
 from .measures import is_cross_t_intersecting
 
 
@@ -168,13 +168,18 @@ def katona_shadow_ratio(k: int, t: int, l: int) -> Fraction:
     return Fraction(comb(2 * k - t, k - l), comb(2 * k - t, k))
 
 
+def katona_sides(fam: SetFamily, t: int, l: int) -> tuple[int, int]:
+    """Both sides of the Katona bound |shadow^l F| * C(2k-t, k) >= |F| * C(2k-t, k-l)."""
+    k = fam.k
+    return len(shadow(fam, l)) * comb(2 * k - t, k), len(fam) * comb(2 * k - t, k - l)
+
+
 def katona_bound_holds(fam: SetFamily, t: int, l: int) -> bool:
     """|shadow^l F| * C(2k-t, k) >= |F| * C(2k-t, k-l), compared exactly."""
     k = fam.k
     if not (1 <= l <= t <= k):
         raise ValueError(f"need 1 <= l <= t <= k, got k={k}, t={t}, l={l}")
-    lhs = len(shadow(fam, l)) * comb(2 * k - t, k)
-    rhs = len(fam) * comb(2 * k - t, k - l)
+    lhs, rhs = katona_sides(fam, t, l)
     return lhs >= rhs
 
 
@@ -182,14 +187,14 @@ def improved_shadow_applicable(fam: SetFamily, t: int, l: int) -> tuple[bool, Fr
     """Size-threshold test and the improved shadow ratio for t-intersecting families.
 
     Threshold |F| >= C(2k-t, k) * (1 + (t+l)/(k+t+1-l)), compared as exact
-    rationals.  Returns (threshold holds, improved ratio).
+    rationals.  The improved ratio is the Katona ratio with k-1 in place of k.
+    Returns (threshold holds, improved ratio).
     """
     k = fam.k
     if not (1 <= l < t < k):
         raise ValueError(f"need 1 <= l < t < k, got k={k}, t={t}, l={l}")
     threshold = comb(2 * k - t, k) * (1 + Fraction(t + l, k + t + 1 - l))
-    bound = Fraction(comb0(2 * (k - 1) - t, k - 1 - l), comb0(2 * (k - 1) - t, k - 1))
-    return (len(fam) >= threshold, bound)
+    return (len(fam) >= threshold, katona_shadow_ratio(k - 1, t, l))
 
 
 def cross_shadow_dichotomy(
@@ -205,11 +210,8 @@ def cross_shadow_dichotomy(
         raise ValueError(f"t={t} outside [1, min(k1,k2)]")
     if not is_cross_t_intersecting(a_fam, b_fam, t):
         raise ValueError("input families are not cross t-intersecting")
-    first = len(shadow(a_fam, l1)) * comb(2 * k1 - t, k1) >= len(a_fam) * comb(
-        2 * k1 - t, k1 - l1
-    )
-    if first:
-        return True
-    return len(shadow(b_fam, l2)) * comb(2 * k2 - t, k2) >= len(b_fam) * comb(
-        2 * k2 - t, k2 - l2
-    )
+    for fam, l in ((a_fam, l1), (b_fam, l2)):
+        lhs, rhs = katona_sides(fam, t, l)
+        if lhs >= rhs:
+            return True
+    return False

@@ -12,17 +12,29 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 from ..constructions import brace_daykin, build, frankl_family, full_star
 from ..core import SetFamily, elems_of, enumerate_ksubsets
 from ..core import _unit_predecessors
-from ..measures import is_r_wise_t_intersecting
+from ..measures import (
+    addable_r_wise,
+    addable_t_intersecting,
+    grow,
+    meets_pseudo_window,
+    pseudo_windows,
+)
 from ..order import kk_min_shadow
 from ..shifting import ALWAYS, shift_ad_extremis
-from .registry import REGISTRY, Instance, StatementReport, check_statement
+from .registry import (
+    REGISTRY,
+    Instance,
+    StatementReport,
+    check_statement,
+    param_repr,
+    parse_param,
+)
 
 DEFAULT_BUDGET = 10**8
 MAX_WITNESSES = 5
@@ -43,19 +55,6 @@ def _rng_for(seed: int, idx: int) -> random.Random:
     return random.Random(mix)
 
 
-def parse_param(value):
-    if isinstance(value, str) and "/" in value:
-        num, den = value.split("/")
-        return Fraction(int(num), int(den))
-    return value
-
-
-def param_repr(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
-
 # ---------------------------------------------------------------------------
 # family generators
 # ---------------------------------------------------------------------------
@@ -65,18 +64,10 @@ def _keep(rng: random.Random, masks, keep: float) -> list[int]:
     return [m for m in masks if rng.random() < keep]
 
 
-def _saturate_random(fam: SetFamily, ok_add, rng: random.Random) -> SetFamily:
-    members = set(fam.members)
+def _grow_shuffled(fam: SetFamily, addable, rng: random.Random) -> SetFamily:
     cands = list(enumerate_ksubsets(fam.n, fam.k))
     rng.shuffle(cands)
-    changed = True
-    while changed:
-        changed = False
-        for cand in cands:
-            if cand not in members and ok_add(members, cand):
-                members.add(cand)
-                changed = True
-    return SetFamily(fam.n, fam.k, sorted(members), _trusted=True)
+    return grow(fam, addable, cands)
 
 
 def gen_family(rng: random.Random, spec: dict) -> SetFamily:
@@ -120,12 +111,8 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
     if mode == "pseudo-filter":
         t = spec.get("t", 1)
         base = gen_family(rng, {"mode": "uniform", "n": n, "k": k, "density": spec.get("density", 0.5)})
-        windows = [(((1 << min(2 * l + t, n)) - 1), l + t) for l in range(k - t + 1)]
-        members = [
-            m
-            for m in base.members
-            if any((m & w).bit_count() >= need for w, need in windows)
-        ]
+        windows = pseudo_windows(n, k, t)
+        members = [m for m in base.members if meets_pseudo_window(m, windows)]
         return SetFamily(n, k, members, _trusted=True)
     if mode == "saturated-t":
         t = spec.get("t", 1)
@@ -134,22 +121,13 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
             {"mode": "star-perturbation", "n": n, "k": k, "t": t,
              "keep": spec.get("keep", 0.4), "adds": 0},
         )
-
-        def ok_add(members, cand):
-            return all((cand & m).bit_count() >= t for m in members)
-
-        return _saturate_random(seed_fam, ok_add, rng)
+        return _grow_shuffled(seed_fam, addable_t_intersecting(t), rng)
     if mode == "saturated-rwise":
         r = spec["r"]
         seed_fam = gen_family(
             rng, {"mode": "bdslice-sub", "n": n, "k": k, "r": r, "keep": spec.get("keep", 0.5)}
         )
-
-        def ok_add(members, cand):
-            trial = SetFamily(n, k, sorted(members | {cand}), _trusted=True)
-            return is_r_wise_t_intersecting(trial, r, 1)
-
-        return _saturate_random(seed_fam, ok_add, rng)
+        return _grow_shuffled(seed_fam, addable_r_wise(r), rng)
     raise ValueError(f"unknown family mode {mode!r}")
 
 
@@ -285,6 +263,16 @@ def make_instance(rng: random.Random, sid: str, inst_spec: dict) -> Instance:
 # ---------------------------------------------------------------------------
 
 
+def _decode(bits: int, masks) -> list[int]:
+    """The masks[i] whose bit i is set in `bits`, in ascending i."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(masks[low.bit_length() - 1])
+        bits ^= low
+    return out
+
+
 def initial_families(n: int, k: int):
     """All initial families as ascending member-mask tuples (downset enumeration)."""
     masks = enumerate_ksubsets(n, k)
@@ -296,7 +284,7 @@ def initial_families(n: int, k: int):
     while stack:
         i, chosen = stack.pop()
         if i == m_count:
-            out.append(tuple(masks[b] for b in range(m_count) if chosen >> b & 1))
+            out.append(tuple(_decode(chosen, masks)))
             continue
         stack.append((i + 1, chosen))
         if all(chosen >> p & 1 for p in preds[i]):
@@ -305,106 +293,93 @@ def initial_families(n: int, k: int):
     return out
 
 
-def _estimate_space(space: str, grid: dict, params: dict) -> tuple[int, bool]:
-    """Instance count and whether it is exact; past the size caps it is an upper bound."""
+def _dual(abits: int, compat: list[int]) -> int:
+    """The B-members t-compatible with every A-member in `abits`, as a bit set over rows."""
+    return sum(1 << j for j, row in enumerate(compat) if not abits & ~row)
+
+
+def _space(space: str, grid: dict, params: dict):
+    """Instance count, whether it is exact, and the instance stream of one space.
+
+    Each space is built once, when its count is exact.  Past the size caps the
+    count is an upper bound and nothing is built unless the stream is consumed.
+    """
     n, k = grid["n"], grid["k"]
+    l = grid.get("l", k)
     m = comb(n, k)
+
+    def fam(uniformity, members):
+        return SetFamily(n, uniformity, members, _trusted=True)
+
     if space == "families":
-        return 2**m, True
+
+        def stream():
+            masks = enumerate_ksubsets(n, k)
+            for bits in range(1 << m):
+                yield Instance((fam(k, _decode(bits, masks)),), dict(params))
+
+        return 2**m, True, stream()
     # downset enumeration is output-sensitive, so exact counts stay cheap
     if space == "initial":
-        return (len(initial_families(n, k)), True) if m <= 70 else (2**m, False)
+        listed = initial_families(n, k) if m <= 70 else None
+
+        def stream():
+            for members in listed if listed is not None else initial_families(n, k):
+                yield Instance((fam(k, members),), dict(params))
+
+        if listed is None:
+            return 2**m, False, stream()
+        return len(listed), True, stream()
     if space == "initial-pairs":
-        l = grid.get("l", k)
-        if max(m, comb(n, l)) > 70:
-            return 2**m * 2 ** comb(n, l), False
-        left = len(initial_families(n, k))
-        right = len(initial_families(n, l)) if l != k else left
-        return left * right, True
+
+        def both():
+            left = initial_families(n, k)
+            return left, (initial_families(n, l) if l != k else left)
+
+        listed = both() if max(m, comb(n, l)) <= 70 else None
+
+        def stream():
+            left, right = listed or both()
+            for a in left:
+                fa = fam(k, a)
+                for b in right:
+                    yield Instance((fa, fam(l, b)), dict(params))
+
+        if listed is None:
+            return 2**m * 2 ** comb(n, l), False, stream()
+        return len(listed[0]) * len(listed[1]), True, stream()
     if space == "dual-pairs":
-        if m > 22:
-            return 4**m, False
         t = params.get("t", 1)
-        l = grid.get("l", k)
-        a_masks = enumerate_ksubsets(n, k)
-        compat = []
-        for bm in enumerate_ksubsets(n, l):
-            row = 0
-            for i, am in enumerate(a_masks):
-                if (am & bm).bit_count() >= t:
-                    row |= 1 << i
-            compat.append(row)
-        total = 0
-        for abits in range(1 << m):
-            total += 1 << sum(1 for row in compat if not abits & ~row)
-        return total, True
+
+        def rows():
+            a_masks, b_masks = enumerate_ksubsets(n, k), enumerate_ksubsets(n, l)
+            # row j: the A-members that B-member j meets in at least t points
+            compat = [
+                sum(1 << i for i, am in enumerate(a_masks) if (am & bm).bit_count() >= t)
+                for bm in b_masks
+            ]
+            return a_masks, b_masks, compat
+
+        built = rows() if m <= 22 else None
+
+        def stream():
+            a_masks, b_masks, compat = built or rows()
+            for abits in range(1 << m):
+                fa = fam(k, _decode(abits, a_masks))
+                # B may contain exactly the sets t-compatible with every chosen A-member
+                dual = _dual(abits, compat)
+                sub = dual
+                while True:
+                    yield Instance((fa, fam(l, _decode(sub, b_masks))), dict(params))
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & dual
+
+        if built is None:
+            return 4**m, False, stream()
+        compat = built[2]
+        return sum(1 << _dual(abits, compat).bit_count() for abits in range(1 << m)), True, stream()
     raise ValueError(f"unknown space {space!r}")
-
-
-def _space_instances(space: str, grid: dict, params: dict):
-    n, k = grid["n"], grid["k"]
-    if space == "families":
-        masks = enumerate_ksubsets(n, k)
-        m_count = len(masks)
-        for bits in range(1 << m_count):
-            members = []
-            bb = bits
-            while bb:
-                low = bb & -bb
-                members.append(masks[low.bit_length() - 1])
-                bb ^= low
-            yield Instance((SetFamily(n, k, members, _trusted=True),), dict(params))
-    elif space == "initial":
-        for members in initial_families(n, k):
-            yield Instance((SetFamily(n, k, members, _trusted=True),), dict(params))
-    elif space == "initial-pairs":
-        l = grid.get("l", k)
-        left = initial_families(n, k)
-        right = initial_families(n, l) if l != k else left
-        for a in left:
-            fa = SetFamily(n, k, a, _trusted=True)
-            for b in right:
-                yield Instance((fa, SetFamily(n, l, b, _trusted=True)), dict(params))
-    elif space == "dual-pairs":
-        t = params.get("t", 1)
-        l = grid.get("l", k)
-        a_masks = enumerate_ksubsets(n, k)
-        b_masks = enumerate_ksubsets(n, l)
-        compat = []
-        for bm in b_masks:
-            row = 0
-            for i, am in enumerate(a_masks):
-                if (am & bm).bit_count() >= t:
-                    row |= 1 << i
-            compat.append(row)
-        m_count = len(a_masks)
-        for abits in range(1 << m_count):
-            a_members = []
-            bb = abits
-            while bb:
-                low = bb & -bb
-                a_members.append(a_masks[low.bit_length() - 1])
-                bb ^= low
-            fa = SetFamily(n, k, a_members, _trusted=True)
-            # B may contain exactly the sets t-compatible with every chosen A-member
-            dual = 0
-            for bi in range(len(b_masks)):
-                if not abits & ~compat[bi]:
-                    dual |= 1 << bi
-            sub = dual
-            while True:
-                b_members = []
-                bb = sub
-                while bb:
-                    low = bb & -bb
-                    b_members.append(b_masks[low.bit_length() - 1])
-                    bb ^= low
-                yield Instance((fa, SetFamily(n, l, b_members, _trusted=True)), dict(params))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & dual
-    else:
-        raise ValueError(f"unknown space {space!r}")
 
 
 def _grid_instances(grid: dict, params: dict):
@@ -552,12 +527,11 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
     else:
         if sid == "KRUSKAL_KATONA" and space == "families":
             return _kk_exhaustive(grid["n"], grid["k"], params.get("l", 1), config, budget)
-        count, exact = _estimate_space(space, grid, params)
+        count, exact, instances = _space(space, grid, params)
         est = 2 * count
         if est > budget:
             bound = "" if exact else " (an upper bound: the space is too large to count)"
             raise BudgetError(f"estimated {est} evaluations{bound} exceed budget {budget}")
-        instances = _space_instances(space, grid, params)
     return _consume(sid, instances, config, budget, threads=threads)
 
 
@@ -592,8 +566,7 @@ def _kk_exhaustive(n, k, l, config, budget):
             totals["pass"] += 1
         else:
             totals["fail"] += 1
-            members = [masks[i] for i in range(m_count) if bits >> i & 1]
-            inst = Instance((SetFamily(n, k, members, _trusted=True),), {"l": l})
+            inst = Instance((SetFamily(n, k, _decode(bits, masks), _trusted=True),), {"l": l})
             witnesses.append(inst.to_witness("KRUSKAL_KATONA"))
             halted = True
             break

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..core import (
     SetFamily,
@@ -28,13 +28,18 @@ from ..core import (
     prefix_mask,
     trace,
 )
-from ..constructions import g_value
+from ..constructions import brace_daykin_size, g_value, triangle_size
 from ..measures import (
+    addable_r_wise,
+    addable_t_intersecting,
     degree,
     is_cross_t_intersecting,
     is_nontrivial,
+    is_nontrivial_masks,
     is_pseudo_t_intersecting,
     is_r_wise_t_intersecting,
+    is_r_wise_t_intersecting_masks,
+    is_saturated,
     is_t_intersecting,
     matching_number,
     rho,
@@ -42,12 +47,30 @@ from ..measures import (
     transversal_number,
 )
 from ..order import (
+    cross_shadow_dichotomy,
     hilton_transfer,
+    improved_shadow_applicable,
     katona_bound_holds,
+    katona_sides,
     kk_min_shadow,
     shadow,
 )
 from ..shifting import is_initial_on
+
+
+def parse_param(value):
+    """A "p/q" string as an exact Fraction; any other value unchanged."""
+    if isinstance(value, str) and "/" in value:
+        num, den = value.split("/")
+        return Fraction(int(num), int(den))
+    return value
+
+
+def param_repr(value):
+    """A Fraction as its "p/q" string; any other value unchanged."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return value
 
 
 @dataclass
@@ -69,10 +92,7 @@ class Instance:
                 {"n": f.n, "k": f.k, "members": [list(elems_of(m)) for m in f.members]}
                 for f in self.families
             ],
-            "params": {
-                k: (f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v)
-                for k, v in self.params.items()
-            },
+            "params": {k: param_repr(v) for k, v in self.params.items()},
         }
 
 
@@ -80,14 +100,7 @@ def instance_from_witness(witness: dict) -> Instance:
     fams = tuple(
         SetFamily.from_sets(f["n"], f["k"], f["members"]) for f in witness["families"]
     )
-    params = {}
-    for k, v in witness["params"].items():
-        if isinstance(v, str) and "/" in v:
-            num, den = v.split("/")
-            params[k] = Fraction(int(num), int(den))
-        else:
-            params[k] = v
-    return Instance(fams, params)
+    return Instance(fams, {k: parse_param(v) for k, v in witness["params"].items()})
 
 
 @dataclass(frozen=True)
@@ -152,18 +165,23 @@ def check_fact_3_13(a, big_a, b, big_b) -> bool:
     return Fraction(a + b, big_a + big_b) >= min(Fraction(a, big_a), Fraction(b, big_b))
 
 
+def binom_n_minus_i(n: int, k: int, i: int) -> bool | None:
+    """C(n-i, k) * n >= (n-ik) * C(n, k) for n > ik and n, k, i >= 1; None outside that range."""
+    if not (n > i * k and n >= 1 and k >= 1 and i >= 1):
+        return None
+    return comb0(n - i, k) * n >= (n - i * k) * comb(n, k)
+
+
+def binom_half(n: int, k: int, t: int) -> bool | None:
+    """2 * C(n-t-2, k-t-2) >= C(n-3, k-t-2) for k > t >= 2 and n >= 2(t-1)(k-t); None outside."""
+    if not (k > t >= 2 and n >= 2 * (t - 1) * (k - t)):
+        return None
+    return 2 * comb0(n - t - 2, k - t - 2) >= comb0(n - 3, k - t - 2)
+
+
 def check_binomials(n: int, k: int, i: int, t: int) -> dict:
     """Both binomial inequalities over their stated ranges, exact big-int arithmetic."""
-    out = {}
-    if n > i * k and n >= 1 and k >= 1 and i >= 1:
-        out["n_minus_i"] = comb0(n - i, k) * n >= (n - i * k) * comb(n, k)
-    else:
-        out["n_minus_i"] = None
-    if k > t >= 2 and n >= 2 * (t - 1) * (k - t):
-        out["half"] = 2 * comb0(n - t - 2, k - t - 2) >= comb0(n - 3, k - t - 2)
-    else:
-        out["half"] = None
-    return out
+    return {"n_minus_i": binom_n_minus_i(n, k, i), "half": binom_half(n, k, t)}
 
 
 # --------------------------------------------------------------------------
@@ -179,6 +197,11 @@ def _cross(inst: Instance, t: int = 1) -> bool:
     return is_cross_t_intersecting(inst.families[0], inst.families[1], t)
 
 
+def _initial_cross(inst: Instance, t: int = 1) -> bool:
+    """Both families initial and cross t-intersecting; call it after `_pair_sizes_ok`."""
+    return is_initial(inst.families[0]) and is_initial(inst.families[1]) and _cross(inst, t)
+
+
 def _min_rho(inst: Instance) -> Fraction:
     return min(rho(inst.families[0]), rho(inst.families[1]))
 
@@ -187,57 +210,11 @@ def _max_rho(inst: Instance) -> Fraction:
     return max(rho(inst.families[0]), rho(inst.families[1]))
 
 
-def is_saturated_t_intersecting(fam: SetFamily, t: int) -> bool:
-    """No k-set outside the family can be added without breaking t-intersecting."""
-    if not fam.members:
-        return False
-    have = set(fam.members)
-    for cand in enumerate_ksubsets(fam.n, fam.k):
-        if cand in have:
-            continue
-        if all((cand & m).bit_count() >= t for m in fam.members):
-            return False
-    return True
-
-
-def is_saturated_r_wise(fam: SetFamily, r: int) -> bool:
-    """No k-set outside the family can be added keeping r-wise intersecting."""
-    if not fam.members:
-        return False
-    have = set(fam.members)
-    for cand in enumerate_ksubsets(fam.n, fam.k):
-        if cand in have:
-            continue
-        trial = SetFamily(fam.n, fam.k, sorted(have | {cand}), _trusted=True)
-        if is_r_wise_t_intersecting(trial, r, 1):
-            return False
-    return True
-
-
 def _slices_members(inst: Instance) -> list[int]:
     out = []
     for f in inst.families:
         out.extend(f.members)
     return out
-
-
-def _rwise_nonuniform(members: Sequence[int], r: int, t: int) -> bool:
-    if not members:
-        return True
-    if any(m.bit_count() < t for m in members):
-        return False
-    from ..measures import _min_intersection_over
-
-    return _min_intersection_over(members, r, stop_below=t) >= t
-
-
-def _nontrivial_nonuniform(members: Sequence[int], n: int) -> bool:
-    if not members:
-        return False
-    acc = (1 << n) - 1
-    for m in members:
-        acc &= m
-    return acc == 0
 
 
 # --------------------------------------------------------------------------
@@ -341,8 +318,7 @@ _register(
     "pair",
     lambda i: _f(i).k == _g(i).k
     and _f(i).n >= 39 * _f(i).k
-    and min(len(_f(i)), len(_g(i)))
-    >= 3 * comb0(_f(i).n - 3, _f(i).k - 2) + comb0(_f(i).n - 3, _f(i).k - 3)
+    and min(len(_f(i)), len(_g(i))) >= triangle_size(_f(i).n, _f(i).k)
     and _cross(i),
     lambda i: _min_rho(i)
     > Fraction(2, 3) * (1 - Fraction(_f(i).k - 2, _f(i).n - 2)),
@@ -388,9 +364,7 @@ _register(
     "pair",
     lambda i: _pair_sizes_ok(i)
     and 1 <= i.params["t"] <= min(_f(i).k, _g(i).k)
-    and is_initial(_f(i))
-    and is_initial(_g(i))
-    and _cross(i, i.params["t"]),
+    and _initial_cross(i, i.params["t"]),
     lambda i: (
         is_pseudo_t_intersecting(_f(i), i.params["t"])
         and is_pseudo_t_intersecting(_g(i), i.params["t"])
@@ -507,7 +481,7 @@ _register(
 _register(
     "FACT_3_1",
     "pair",
-    lambda i: _pair_sizes_ok(i) and is_initial(_f(i)) and is_initial(_g(i)) and _cross(i),
+    lambda i: _pair_sizes_ok(i) and _initial_cross(i),
     lambda i: is_cross_t_intersecting(avoid(_f(i), 1), avoid(_g(i), 1), 2),
     "initial cross-intersecting pairs: parts avoiding 1 are cross 2-intersecting",
     default_space="initial-pairs",
@@ -520,9 +494,7 @@ _register(
     and _f(i).k == _g(i).k >= 2
     and len(_f(i)) > 0
     and len(_g(i)) > 0
-    and is_initial(_f(i))
-    and is_initial(_g(i))
-    and _cross(i),
+    and _initial_cross(i),
     lambda i: _max_rho(i) >= Fraction(_f(i).k, 2 * _f(i).k - 2)
     or _min_rho(i) >= Fraction(_f(i).k, 2 * _f(i).k - 1),
     "initial cross-intersecting pairs satisfy the two-threshold dichotomy",
@@ -535,11 +507,8 @@ _register(
     lambda i: _pair_sizes_ok(i)
     and _f(i).k == _g(i).k
     and 2 * _f(i).n >= 7 * _f(i).k
-    and is_initial(_f(i))
-    and is_initial(_g(i))
-    and min(len(_f(i)), len(_g(i)))
-    >= 3 * comb0(_f(i).n - 3, _f(i).k - 2) + comb0(_f(i).n - 3, _f(i).k - 3)
-    and _cross(i),
+    and min(len(_f(i)), len(_g(i))) >= triangle_size(_f(i).n, _f(i).k)
+    and _initial_cross(i),
     lambda i: _min_rho(i) > Fraction(2, 3),
     "initial triangle-size cross-intersecting pairs: both above two thirds",
     default_space="initial-pairs",
@@ -559,26 +528,35 @@ _register(
 )
 
 
-def _lem37_parts(i: Instance):
+def _top_window(n: int) -> int:
+    """The last eight elements [n-7, n]."""
+    return mask_of(range(n - 7, n + 1))
+
+
+def _lem37_prefix(i: Instance) -> bool:
+    """The hypothesis shared by LEM_3_7 and LEM_3_8, up to its last conjunct."""
+    if not _pair_sizes_ok(i):
+        return False
     f, g = i.families
-    n = f.n
-    window = mask_of(range(n - 7, n + 1))
-    a_fam = family_union(
-        trace(f, 1 << (n - 2), window), trace(f, 1 << (n - 1), window)
+    return (
+        f.n >= 10
+        and f.k == g.k
+        and _cross(i)
+        and is_initial_on(f, f.n - 8)
+        and is_initial_on(g, f.n - 8)
     )
-    return a_fam, window
+
+
+def _lem37_top_traces(f: SetFamily) -> SetFamily:
+    window = _top_window(f.n)
+    return family_union(trace(f, 1 << (f.n - 2), window), trace(f, 1 << (f.n - 1), window))
 
 
 _register(
     "LEM_3_7",
     "pair",
-    lambda i: _pair_sizes_ok(i)
-    and _f(i).n >= 10
-    and _f(i).k == _g(i).k
-    and _cross(i)
-    and is_initial_on(_f(i), _f(i).n - 8)
-    and is_initial_on(_g(i), _f(i).n - 8)
-    and len(avoid(_lem37_parts(i)[0], mask_of((1, 2))))
+    lambda i: _lem37_prefix(i)
+    and len(avoid(_lem37_top_traces(_f(i)), mask_of((1, 2))))
     > comb0(_f(i).n - 10, _f(i).k - 3),
     lambda i: len(avoid(_g(i), mask_of((_f(i).n - 1, _f(i).n))))
     < len(link(_g(i), mask_of((1, 2)))) + 6 * comb0(_f(i).n - 3, _f(i).k - 3),
@@ -588,20 +566,10 @@ _register(
 _register(
     "LEM_3_8",
     "pair",
-    lambda i: _pair_sizes_ok(i)
-    and _f(i).n >= 10
-    and _f(i).k == _g(i).k
-    and _cross(i)
-    and is_initial_on(_f(i), _f(i).n - 8)
-    and is_initial_on(_g(i), _f(i).n - 8)
-    and len(
-        avoid(
-            trace(_f(i), 1 << (_f(i).n - 1), mask_of(range(_f(i).n - 7, _f(i).n + 1))),
-            mask_of((1, 2)),
-        )
-    )
+    lambda i: _lem37_prefix(i)
+    and len(avoid(trace(_f(i), 1 << (_f(i).n - 1), _top_window(_f(i).n)), mask_of((1, 2))))
     > comb0(_f(i).n - 10, _f(i).k - 3),
-    lambda i: len(trace(_g(i), 1 << (_g(i).n - 2), mask_of(range(_g(i).n - 7, _g(i).n + 1))))
+    lambda i: len(trace(_g(i), 1 << (_g(i).n - 2), _top_window(_g(i).n)))
     < comb0(_f(i).n - 3, _f(i).k - 3),
     "prefix-initial cross pairs: the opposite top-singleton trace is small",
 )
@@ -614,9 +582,7 @@ _register(
     and _f(i).n >= 2 * _f(i).k
     and is_nontrivial(_f(i))
     and is_nontrivial(_g(i))
-    and is_initial(_f(i))
-    and is_initial(_g(i))
-    and _cross(i),
+    and _initial_cross(i),
     lambda i: len(_f(i)) + len(_g(i)) <= g_value(_f(i).n, _f(i).k),
     "nontrivial initial cross-intersecting pairs: total at most g(n,k)",
     default_space="initial-pairs",
@@ -643,9 +609,7 @@ _register(
     lambda i: _pair_sizes_ok(i)
     and len(_f(i)) > 0
     and len(_g(i)) > 0
-    and is_initial(_f(i))
-    and is_initial(_g(i))
-    and _cross(i),
+    and _initial_cross(i),
     _prop_3_13_concl,
     "initial cross-intersecting members overfill some prefix",
     default_space="initial-pairs",
@@ -656,10 +620,8 @@ _register(
     "pair",
     lambda i: _pair_sizes_ok(i)
     and _f(i).k == _g(i).k
-    and is_initial(_f(i))
-    and is_initial(_g(i))
     and min(len(_f(i)), len(_g(i))) > comb0(_f(i).n, _f(i).k - 3)
-    and _cross(i),
+    and _initial_cross(i),
     lambda i: rho(_f(i)) >= Fraction(1, 2) and rho(_g(i)) >= Fraction(1, 2),
     "large initial cross-intersecting pairs: both at least one half",
     default_space="initial-pairs",
@@ -671,9 +633,7 @@ _register(
     lambda i: _pair_sizes_ok(i)
     and len(_f(i)) > 0
     and len(_g(i)) > 0
-    and is_initial(_f(i))
-    and is_initial(_g(i))
-    and _cross(i),
+    and _initial_cross(i),
     lambda i: rho(_f(i)) + rho(_g(i)) >= 1,
     "nonempty initial cross-intersecting pairs: degree ratios sum to at least 1",
     default_space="initial-pairs",
@@ -687,7 +647,7 @@ _register(
     and len(_f(i)) > 0
     and is_t_intersecting(_f(i), i.params["t"])
     and transversal_number(_f(i), i.params["t"]) <= i.params["t"] + 1
-    and is_saturated_t_intersecting(_f(i), i.params["t"]),
+    and is_saturated(_f(i), addable_t_intersecting(i.params["t"])),
     lambda i: rho(_f(i)) > Fraction(i.params["t"] + 1, i.params["t"] + 2),
     "saturated t-intersecting families with small transversal: high degree ratio",
 )
@@ -775,10 +735,9 @@ _register(
     "BD_5_1",
     "slices",
     lambda i: i.params["r"] >= 3
-    and _rwise_nonuniform(_slices_members(i), i.params["r"], 1)
-    and _nontrivial_nonuniform(_slices_members(i), i.families[0].n if i.families else 2),
-    lambda i: len(_slices_members(i))
-    <= (i.params["r"] + 2) * 2 ** (i.families[0].n - i.params["r"] - 1),
+    and is_r_wise_t_intersecting_masks(_slices_members(i), i.params["r"], 1)
+    and is_nontrivial_masks(_slices_members(i), i.families[0].n if i.families else 2),
+    lambda i: len(_slices_members(i)) <= brace_daykin_size(i.families[0].n, i.params["r"]),
     "nontrivial r-wise intersecting families obey the Brace-Daykin cap",
 )
 
@@ -825,7 +784,7 @@ _register(
     and is_nontrivial(_f(i))
     and is_r_wise_t_intersecting(_f(i), i.params["r"], 1)
     and transversal_number(_f(i), i.params["r"] - 1) <= i.params["r"]
-    and is_saturated_r_wise(_f(i), i.params["r"]),
+    and is_saturated(_f(i), addable_r_wise(i.params["r"])),
     lambda i: rho(_f(i)) > Fraction(i.params["r"], i.params["r"] + 1),
     "saturated nontrivial r-wise intersecting with small transversal: high ratio",
 )
@@ -847,8 +806,7 @@ _register(
 def _katona_extras(i: Instance) -> dict:
     f = _f(i)
     t, l = i.params["t"], i.params["l"]
-    lhs = len(shadow(f, l)) * comb(2 * f.k - t, f.k)
-    rhs = len(f) * comb(2 * f.k - t, f.k - l)
+    lhs, rhs = katona_sides(f, t, l)
     if lhs != rhs:
         return {}
     out = {"equality": 1}
@@ -893,13 +851,8 @@ _register(
     and 1 <= i.params["l2"] < _g(i).k
     and 1 <= i.params["t"] <= min(_f(i).k, _g(i).k)
     and _cross(i, i.params["t"]),
-    lambda i: (
-        len(shadow(_f(i), i.params["l1"])) * comb(2 * _f(i).k - i.params["t"], _f(i).k)
-        >= len(_f(i)) * comb(2 * _f(i).k - i.params["t"], _f(i).k - i.params["l1"])
-    )
-    or (
-        len(shadow(_g(i), i.params["l2"])) * comb(2 * _g(i).k - i.params["t"], _g(i).k)
-        >= len(_g(i)) * comb(2 * _g(i).k - i.params["t"], _g(i).k - i.params["l2"])
+    lambda i: cross_shadow_dichotomy(
+        _f(i), _g(i), i.params["t"], i.params["l1"], i.params["l2"]
     ),
     "for cross t-intersecting pairs one shadow inequality holds",
     default_space="dual-pairs",
@@ -910,13 +863,9 @@ _register(
     "family",
     lambda i: 1 <= i.params["l"] < i.params["t"] < _f(i).k
     and is_t_intersecting(_f(i), i.params["t"])
-    and len(_f(i))
-    >= comb(2 * _f(i).k - i.params["t"], _f(i).k)
-    * (1 + Fraction(i.params["t"] + i.params["l"], _f(i).k + i.params["t"] + 1 - i.params["l"])),
+    and improved_shadow_applicable(_f(i), i.params["t"], i.params["l"])[0],
     lambda i: len(shadow(_f(i), i.params["l"]))
-    * comb0(2 * (_f(i).k - 1) - i.params["t"], _f(i).k - 1)
-    >= len(_f(i))
-    * comb0(2 * (_f(i).k - 1) - i.params["t"], _f(i).k - 1 - i.params["l"]),
+    >= len(_f(i)) * improved_shadow_applicable(_f(i), i.params["t"], i.params["l"])[1],
     "above the size threshold the improved shadow ratio holds",
 )
 
@@ -975,10 +924,8 @@ _register(
 _register(
     "BINOM_1_11",
     "numeric",
-    lambda i: i.params["n"] > i.params["i"] * i.params["k"]
-    and min(i.params["n"], i.params["k"], i.params["i"]) >= 1,
-    lambda i: comb0(i.params["n"] - i.params["i"], i.params["k"]) * i.params["n"]
-    >= (i.params["n"] - i.params["i"] * i.params["k"]) * comb(i.params["n"], i.params["k"]),
+    lambda i: binom_n_minus_i(i.params["n"], i.params["k"], i.params["i"]) is not None,
+    lambda i: binom_n_minus_i(i.params["n"], i.params["k"], i.params["i"]),
     "derangement-free lower bound for shifted binomials",
     default_space="grid",
 )
@@ -986,10 +933,8 @@ _register(
 _register(
     "BINOM_1_13",
     "numeric",
-    lambda i: i.params["k"] > i.params["t"] >= 2
-    and i.params["n"] >= 2 * (i.params["t"] - 1) * (i.params["k"] - i.params["t"]),
-    lambda i: 2 * comb0(i.params["n"] - i.params["t"] - 2, i.params["k"] - i.params["t"] - 2)
-    >= comb0(i.params["n"] - 3, i.params["k"] - i.params["t"] - 2),
+    lambda i: binom_half(i.params["n"], i.params["k"], i.params["t"]) is not None,
+    lambda i: binom_half(i.params["n"], i.params["k"], i.params["t"]),
     "halving bound for shifted binomials in range",
     default_space="grid",
 )

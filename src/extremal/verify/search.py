@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ..core import SetFamily, enumerate_ksubsets
 from ..measures import matching_number
-from ..shifting import And, MatchingAtMost, NonTrivial, RhoAtMost, TIntersecting
+from ..shifting import MatchingAtMost, NonTrivial, RhoAtMost, TIntersecting
 
 
 @dataclass
@@ -35,15 +35,6 @@ class SearchResult:
         }
 
 
-def _flatten(prop):
-    if isinstance(prop, And):
-        out = []
-        for child in prop.children:
-            out.extend(_flatten(child))
-        return out
-    return [prop]
-
-
 def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     """Exact max |F| over k-graphs on [n] subject to the property, with witness.
 
@@ -52,12 +43,11 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     from .harness import default_budget
 
     budget = budget if budget is not None else default_budget()
-    atoms = _flatten(prop)
     t_req = 0
     rho_cap: Fraction | None = None
     nu_cap: int | None = None
     nontrivial = False
-    for atom in atoms:
+    for atom in prop.atoms():
         if isinstance(atom, TIntersecting):
             if atom.slot != 0:
                 raise ValueError("search supports slot-0 atoms only")

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -52,6 +53,9 @@ from extremal.verify.recipes import MUST_BE_NONVACUOUS, VACUOUS_ONLY
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SUITE_PATH = REPO_ROOT / "configs" / "registry_sweep.json"
+# sha256 over json.dumps(result, sort_keys=True) of every shipped suite entry, in
+# file order; a change to any verdict, total, witness or extra changes it
+SUITE_RESULT_SHA256 = "3b76cff8853a6b3cca31e8b493e7a5d046682636b846f21101c232a8790950d9"
 
 
 def report_line(idx, name, ok, elapsed):
@@ -266,10 +270,14 @@ def test_criterion_9_registry_soundness():
         )
         print(f"    vacuous-only {sid}: all {total} instances vacuous "
               "(hypothesis unreachable at desk scale)")
+    digest = hashlib.sha256()
+    for r in reports:
+        digest.update(json.dumps(r["result"], sort_keys=True).encode())
+    reproduced = digest.hexdigest() == SUITE_RESULT_SHA256
     elapsed = time.time() - t0
-    ok = not fails and not missing and not uncovered
+    ok = not fails and not missing and not uncovered and reproduced
     report_line(9, f"registry suite: {len(reports)} sweeps, fails={fails}, "
-                   f"missing-nonvacuous={missing}", ok, elapsed)
+                   f"missing-nonvacuous={missing}, results reproduced={reproduced}", ok, elapsed)
 
 
 def test_criterion_10_extremal_search():

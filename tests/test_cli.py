@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from extremal.cli import main, parse_property_spec
+from extremal.cli import build_parser, main, parse_property_spec
 from extremal.core import read_family
 from extremal.measures import rho
 from extremal.shifting import CrossTIntersecting, RhoAtMost, TIntersecting
@@ -168,6 +168,10 @@ class TestVerifyCommand:
         assert main(["--budget", "100", "verify", "--id", "KATONA",
                      "--exhaustive", "n=5,k=2,t=1,l=1"]) == 2
 
+    def test_budget_refusal_after_subcommand_exit_2(self):
+        assert main(["verify", "--id", "KATONA", "--exhaustive", "n=5,k=2,t=1,l=1",
+                     "--budget", "100"]) == 2
+
 
 class TestVerifyFailExit:
     def test_fail_yields_exit_1(self, tmp_path):
@@ -210,8 +214,35 @@ class TestSearchCommand:
         assert len(captured.err.strip().splitlines()) == 1
         assert "lower bound" in captured.err
 
+    def test_search_budget_after_subcommand_exits_3(self, capsys):
+        rc = main(["search", "n=7", "k=3", "--prop", "intersecting&rho<=1/2",
+                   "--budget", "50"])
+        assert rc == 3
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert not out["complete"] and out["evaluations"] == 51
+
     def test_search_needs_dims(self):
         assert main(["search", "--prop", "intersecting"]) == 2
+
+
+class TestGlobalOptions:
+    def test_before_subcommand_is_kept(self):
+        args = build_parser().parse_args(
+            ["--budget", "50", "--seed", "4", "--format", "json", "--threads", "3",
+             "search", "n=5", "k=2", "--prop", "intersecting"]
+        )
+        assert (args.budget, args.seed, args.format, args.threads) == (50, 4, "json", 3)
+
+    def test_after_subcommand_wins(self):
+        args = build_parser().parse_args(
+            ["--budget", "50", "verify", "--id", "KATONA", "--budget", "70", "--seed", "9"]
+        )
+        assert (args.budget, args.seed, args.format) == (70, 9, "text")
+
+    def test_defaults_without_either(self):
+        args = build_parser().parse_args(["measure", "f.txt"])
+        assert (args.budget, args.seed, args.format) == (None, 1, "text")
+        assert args.threads >= 1
 
 
 class TestSubprocessEntry:

@@ -9,10 +9,16 @@ import pytest
 from extremal.core import SetFamily, enumerate_ksubsets, mask_of
 from extremal.constructions import fano, frankl_family, full_star, projective_plane
 from extremal.measures import (
+    addable_r_wise,
+    addable_t_intersecting,
     degree,
+    grow,
     is_cross_t_intersecting,
+    is_nontrivial_masks,
     is_pseudo_t_intersecting,
     is_r_wise_t_intersecting,
+    is_r_wise_t_intersecting_masks,
+    is_saturated,
     is_star,
     is_t_intersecting,
     matching_number,
@@ -288,6 +294,136 @@ class TestSaturate:
     def test_requires_property_on_input(self):
         with pytest.raises(ValueError):
             saturate(fam(5, 2, (1, 2), (3, 4)), And((TIntersecting(0, 1),)))
+
+
+# Copies of the member-mask and saturation checks that the registry and the
+# harness carried before they called the definitions above; kept as oracles.
+
+
+def oracle_rwise_nonuniform(members, r, t):
+    from extremal.measures import _min_intersection_over
+
+    if not members:
+        return True
+    if any(m.bit_count() < t for m in members):
+        return False
+    return _min_intersection_over(members, r, stop_below=t) >= t
+
+
+def oracle_nontrivial_nonuniform(members, n):
+    if not members:
+        return False
+    acc = (1 << n) - 1
+    for m in members:
+        acc &= m
+    return acc == 0
+
+
+def oracle_saturated_t_intersecting(f, t):
+    if not f.members:
+        return False
+    have = set(f.members)
+    for cand in enumerate_ksubsets(f.n, f.k):
+        if cand in have:
+            continue
+        if all((cand & m).bit_count() >= t for m in f.members):
+            return False
+    return True
+
+
+def oracle_saturated_r_wise(f, r):
+    if not f.members:
+        return False
+    have = set(f.members)
+    for cand in enumerate_ksubsets(f.n, f.k):
+        if cand in have:
+            continue
+        trial = SetFamily(f.n, f.k, sorted(have | {cand}), _trusted=True)
+        if is_r_wise_t_intersecting(trial, r, 1):
+            return False
+    return True
+
+
+def oracle_saturate_random(f, ok_add, rng):
+    members = set(f.members)
+    cands = list(enumerate_ksubsets(f.n, f.k))
+    rng.shuffle(cands)
+    changed = True
+    while changed:
+        changed = False
+        for cand in cands:
+            if cand not in members and ok_add(members, cand):
+                members.add(cand)
+                changed = True
+    return SetFamily(f.n, f.k, sorted(members), _trusted=True)
+
+
+def all_families(n, k):
+    masks = enumerate_ksubsets(n, k)
+    for bits in range(1 << len(masks)):
+        yield SetFamily(n, k, [m for i, m in enumerate(masks) if bits >> i & 1], _trusted=True)
+
+
+class TestMergedDefinitionOracles:
+    def test_mask_versions_on_all_families_5_2(self):
+        for f in all_families(5, 2):
+            assert is_nontrivial_masks(f.members, 5) == oracle_nontrivial_nonuniform(f.members, 5)
+            for r in (2, 3, 4):
+                for t in (1, 2, 3):
+                    got = is_r_wise_t_intersecting_masks(f.members, r, t)
+                    assert got == oracle_rwise_nonuniform(f.members, r, t)
+                    assert got == is_r_wise_t_intersecting(f, r, t)
+
+    def test_mask_versions_on_mixed_sizes(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            n = rng.randint(3, 8)
+            members = sorted({rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 7))})
+            assert is_nontrivial_masks(members, n) == oracle_nontrivial_nonuniform(members, n)
+            for r in (2, 3, 5):
+                for t in (1, 2):
+                    assert is_r_wise_t_intersecting_masks(members, r, t) == (
+                        oracle_rwise_nonuniform(members, r, t)
+                    )
+
+    def test_saturation_on_all_families_5_2(self):
+        for f in all_families(5, 2):
+            for t in (1, 2):
+                assert is_saturated(f, addable_t_intersecting(t)) == (
+                    oracle_saturated_t_intersecting(f, t)
+                )
+            for r in (2, 3):
+                assert is_saturated(f, addable_r_wise(r)) == oracle_saturated_r_wise(f, r)
+
+    def test_saturation_on_samples_6_3(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            f = rand_family(rng, 6, 3, 0.3)
+            for t in (1, 2):
+                assert is_saturated(f, addable_t_intersecting(t)) == (
+                    oracle_saturated_t_intersecting(f, t)
+                )
+            assert is_saturated(f, addable_r_wise(3)) == oracle_saturated_r_wise(f, 3)
+
+    def test_grow_matches_shuffled_saturation(self):
+        def ok_t(t):
+            return lambda members, cand: all((cand & m).bit_count() >= t for m in members)
+
+        def ok_rwise(members, cand):
+            trial = SetFamily(7, 3, sorted(members | {cand}), _trusted=True)
+            return is_r_wise_t_intersecting(trial, 3, 1)
+
+        for seed in range(40):
+            base = SetFamily(7, 3, full_star(7, 3, 1).members[: seed % 7], _trusted=True)
+            for addable, ok_add in (
+                (addable_t_intersecting(1), ok_t(1)),
+                (addable_t_intersecting(2), ok_t(2)),
+                (addable_r_wise(3), ok_rwise),
+            ):
+                cands = list(enumerate_ksubsets(7, 3))
+                random.Random(seed).shuffle(cands)
+                got = grow(base, addable, cands)
+                assert got == oracle_saturate_random(base, ok_add, random.Random(seed))
 
 
 class TestProfile:

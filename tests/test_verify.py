@@ -3,11 +3,14 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from extremal.core import SetFamily, enumerate_ksubsets
+from extremal.core import SetFamily, comb0, enumerate_ksubsets
 from extremal.constructions import fano, full_star
+from extremal.measures import is_cross_t_intersecting, is_t_intersecting
+from extremal.order import shadow
 from extremal.shifting import And, RhoAtMost, TIntersecting
 from extremal.verify import (
     REGISTRY,
@@ -19,6 +22,7 @@ from extremal.verify import (
     check_identity_3_2,
     check_statement,
     exhaustive_sweep,
+    initial_families,
     instance_from_witness,
     recheck_witness,
     rerun_report,
@@ -243,6 +247,14 @@ class TestRegistryHygiene:
         rep = check_statement("LEM_3_7", Instance((a, a), {}))
         assert rep.verdict == "vacuous"
 
+    @pytest.mark.parametrize(
+        "sid", ["FACT_3_1", "PROP_3_2", "PROP_3_4", "PROP_3_13", "PROP_3_14", "PROP_3_15",
+                "G_THEOREM", "DICHOTOMY"],
+    )
+    def test_initial_cross_pairs_need_two_families(self, sid):
+        single = Instance((fam(6, 3, (1, 2, 3)),), {"t": 1})
+        assert check_statement(sid, single).verdict == "vacuous"
+
     def test_shipped_suite_matches_recipes(self):
         from pathlib import Path
 
@@ -312,3 +324,335 @@ class TestFailPlumbing:
         assert res["totals"]["fail"] == 1 and res["halted_on_fail"]
         total_seen = sum(res["totals"].values())
         assert total_seen < 1 << 6  # halted before exhausting the space
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the checks the registry wrote out inline before it called the
+# library's definitions, copied verbatim from the lambdas they replaced.
+# ---------------------------------------------------------------------------
+
+
+def _f(i):
+    return i.families[0]
+
+
+def _g(i):
+    return i.families[1]
+
+
+def _oracle_katona_extras(i):
+    f = _f(i)
+    t, l = i.params["t"], i.params["l"]
+    lhs = len(shadow(f, l)) * comb(2 * f.k - t, f.k)
+    rhs = len(f) * comb(2 * f.k - t, f.k - l)
+    if lhs != rhs:
+        return {}
+    out = {"equality": 1}
+    union = 0
+    for m in f.members:
+        union |= m
+    if len(f) == comb(2 * f.k - t, f.k) and union.bit_count() == 2 * f.k - t:
+        out["equality_isomorph"] = 1
+    return out
+
+
+ORACLES = {
+    "KATONA": (
+        lambda i: len(_f(i)) > 0
+        and 1 <= i.params["l"] <= i.params["t"] <= _f(i).k
+        and _f(i).n >= 2 * _f(i).k - i.params["t"]
+        and is_t_intersecting(_f(i), i.params["t"]),
+        lambda i: len(shadow(_f(i), i.params["l"])) * comb(2 * _f(i).k - i.params["t"], _f(i).k)
+        >= len(_f(i)) * comb(2 * _f(i).k - i.params["t"], _f(i).k - i.params["l"]),
+        _oracle_katona_extras,
+    ),
+    "CROSS_SHADOW": (
+        lambda i: len(i.families) == 2
+        and _f(i).n == _g(i).n
+        and len(_f(i)) > 0
+        and len(_g(i)) > 0
+        and 1 <= i.params["l1"] < _f(i).k
+        and 1 <= i.params["l2"] < _g(i).k
+        and 1 <= i.params["t"] <= min(_f(i).k, _g(i).k)
+        and is_cross_t_intersecting(_f(i), _g(i), i.params["t"]),
+        lambda i: (
+            len(shadow(_f(i), i.params["l1"])) * comb(2 * _f(i).k - i.params["t"], _f(i).k)
+            >= len(_f(i)) * comb(2 * _f(i).k - i.params["t"], _f(i).k - i.params["l1"])
+        )
+        or (
+            len(shadow(_g(i), i.params["l2"])) * comb(2 * _g(i).k - i.params["t"], _g(i).k)
+            >= len(_g(i)) * comb(2 * _g(i).k - i.params["t"], _g(i).k - i.params["l2"])
+        ),
+        None,
+    ),
+    "FK_IMPROVED": (
+        lambda i: 1 <= i.params["l"] < i.params["t"] < _f(i).k
+        and is_t_intersecting(_f(i), i.params["t"])
+        and len(_f(i))
+        >= comb(2 * _f(i).k - i.params["t"], _f(i).k)
+        * (1 + Fraction(i.params["t"] + i.params["l"],
+                        _f(i).k + i.params["t"] + 1 - i.params["l"])),
+        lambda i: len(shadow(_f(i), i.params["l"]))
+        * comb0(2 * (_f(i).k - 1) - i.params["t"], _f(i).k - 1)
+        >= len(_f(i))
+        * comb0(2 * (_f(i).k - 1) - i.params["t"], _f(i).k - 1 - i.params["l"]),
+        None,
+    ),
+    "BINOM_1_11": (
+        lambda i: i.params["n"] > i.params["i"] * i.params["k"]
+        and min(i.params["n"], i.params["k"], i.params["i"]) >= 1,
+        lambda i: comb0(i.params["n"] - i.params["i"], i.params["k"]) * i.params["n"]
+        >= (i.params["n"] - i.params["i"] * i.params["k"]) * comb(i.params["n"], i.params["k"]),
+        None,
+    ),
+    "BINOM_1_13": (
+        lambda i: i.params["k"] > i.params["t"] >= 2
+        and i.params["n"] >= 2 * (i.params["t"] - 1) * (i.params["k"] - i.params["t"]),
+        lambda i: 2 * comb0(i.params["n"] - i.params["t"] - 2, i.params["k"] - i.params["t"] - 2)
+        >= comb0(i.params["n"] - 3, i.params["k"] - i.params["t"] - 2),
+        None,
+    ),
+}
+
+
+def _oracle_check_binomials(n, k, i, t):
+    out = {}
+    if n > i * k and n >= 1 and k >= 1 and i >= 1:
+        out["n_minus_i"] = comb0(n - i, k) * n >= (n - i * k) * comb(n, k)
+    else:
+        out["n_minus_i"] = None
+    if k > t >= 2 and n >= 2 * (t - 1) * (k - t):
+        out["half"] = 2 * comb0(n - t - 2, k - t - 2) >= comb0(n - 3, k - t - 2)
+    else:
+        out["half"] = None
+    return out
+
+
+def assert_as_oracle(sid, inst):
+    """Same hypothesis, and where it holds the same verdict and extras as the oracle copy."""
+    hyp, concl, extras = ORACLES[sid]
+    stmt = REGISTRY[sid]
+    held = hyp(inst)
+    assert stmt.hypothesis(inst) == held, (sid, inst)
+    rep = check_statement(sid, inst)
+    if not held:
+        assert rep.verdict == "vacuous"
+        return rep.verdict
+    assert rep.verdict == ("pass" if concl(inst) else "FAIL"), (sid, inst)
+    assert rep.extras == (extras(inst) if extras else {}), (sid, inst)
+    return rep.verdict
+
+
+def all_families(n, k):
+    masks = enumerate_ksubsets(n, k)
+    for bits in range(1 << len(masks)):
+        yield SetFamily(n, k, [m for i, m in enumerate(masks) if bits >> i & 1], _trusted=True)
+
+
+def dual_of(a, l, t):
+    return SetFamily(a.n, l, [c for c in enumerate_ksubsets(a.n, l)
+                              if all((c & m).bit_count() >= t for m in a.members)])
+
+
+class TestMergedDefinitionOracles:
+    def test_katona_every_family_5_2(self):
+        verdicts = set()
+        for f in all_families(5, 2):
+            for t in (1, 2):
+                for l in range(1, t + 1):
+                    verdicts.add(assert_as_oracle("KATONA", Instance((f,), {"t": t, "l": l})))
+                    assert REGISTRY["KATONA"].extras(Instance((f,), {"t": t, "l": l})) == (
+                        _oracle_katona_extras(Instance((f,), {"t": t, "l": l}))
+                    )
+        assert verdicts == {"pass", "vacuous"}
+
+    def test_katona_samples_6_3(self):
+        rng = random.Random(41)
+        masks = enumerate_ksubsets(6, 3)
+        seen_equality = 0
+        for _ in range(300):
+            f = SetFamily(6, 3, [m for m in masks if rng.random() < 0.15])
+            for t in (1, 2, 3):
+                for l in range(1, t + 1):
+                    inst = Instance((f,), {"t": t, "l": l})
+                    assert_as_oracle("KATONA", inst)
+                    seen_equality += "equality" in REGISTRY["KATONA"].extras(inst)
+        assert seen_equality
+
+    def test_fk_improved_every_family(self):
+        for n, k in ((5, 2), (5, 3)):
+            for f in all_families(n, k):
+                for t, l in ((2, 1), (3, 1), (3, 2)):
+                    inst = Instance((f,), {"t": t, "l": l})
+                    assert_as_oracle("FK_IMPROVED", inst)
+                    if 1 <= l < t < k:
+                        # the hypothesis never holds this small; compare the conclusion alone
+                        assert REGISTRY["FK_IMPROVED"].conclusion(inst) == (
+                            ORACLES["FK_IMPROVED"][1](inst)
+                        )
+
+    def test_fk_improved_samples(self):
+        rng = random.Random(42)
+        for n, k in ((7, 4), (8, 5)):
+            masks = enumerate_ksubsets(n, k)
+            for _ in range(60):
+                f = SetFamily(n, k, [m for m in masks if rng.random() < 0.3])
+                for t in range(2, k):
+                    for l in range(1, t):
+                        inst = Instance((f,), {"t": t, "l": l})
+                        assert_as_oracle("FK_IMPROVED", inst)
+                        assert REGISTRY["FK_IMPROVED"].conclusion(inst) == (
+                            ORACLES["FK_IMPROVED"][1](inst)
+                        )
+
+    def test_cross_shadow_every_family_5_2(self):
+        rng = random.Random(43)
+        verdicts = set()
+        for a in all_families(5, 2):
+            full = dual_of(a, 2, 1)
+            part = SetFamily(5, 2, [m for m in full.members if rng.random() < 0.5])
+            for b in (full, part):
+                inst = Instance((a, b), {"t": 1, "l1": 1, "l2": 1})
+                verdicts.add(assert_as_oracle("CROSS_SHADOW", inst))
+        assert verdicts == {"pass", "vacuous"}
+
+    def test_cross_shadow_samples(self):
+        rng = random.Random(44)
+        for k, l in ((3, 3), (3, 2), (4, 3)):
+            masks = enumerate_ksubsets(7, k)
+            for _ in range(80):
+                a = SetFamily(7, k, [m for m in masks if rng.random() < 0.12])
+                t = rng.randint(1, min(k, l))
+                full = dual_of(a, l, t)
+                b = SetFamily(7, l, [m for m in full.members if rng.random() < 0.6])
+                for l1 in range(1, k):
+                    for l2 in range(1, l):
+                        inst = Instance((a, b), {"t": t, "l1": l1, "l2": l2})
+                        assert_as_oracle("CROSS_SHADOW", inst)
+
+    def test_binomials_grids(self):
+        verdicts = {"BINOM_1_11": set(), "BINOM_1_13": set()}
+        for n in range(0, 35):
+            for k in range(0, 10):
+                for i in range(0, 6):
+                    verdicts["BINOM_1_11"].add(
+                        assert_as_oracle("BINOM_1_11", Instance((), {"n": n, "k": k, "i": i}))
+                    )
+                for t in range(0, 8):
+                    verdicts["BINOM_1_13"].add(
+                        assert_as_oracle("BINOM_1_13", Instance((), {"n": n, "k": k, "t": t}))
+                    )
+                for i in range(0, 6):
+                    for t in range(0, 8):
+                        assert check_binomials(n, k, i, t) == _oracle_check_binomials(n, k, i, t)
+        assert verdicts == {"BINOM_1_11": {"pass", "vacuous"}, "BINOM_1_13": {"pass", "vacuous"}}
+
+
+# ---------------------------------------------------------------------------
+# The one space function against a copy of the instance lister it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_space_instances(space, grid, params):
+    n, k = grid["n"], grid["k"]
+    if space == "families":
+        masks = enumerate_ksubsets(n, k)
+        m_count = len(masks)
+        for bits in range(1 << m_count):
+            members = []
+            bb = bits
+            while bb:
+                low = bb & -bb
+                members.append(masks[low.bit_length() - 1])
+                bb ^= low
+            yield Instance((SetFamily(n, k, members, _trusted=True),), dict(params))
+    elif space == "initial":
+        for members in initial_families(n, k):
+            yield Instance((SetFamily(n, k, members, _trusted=True),), dict(params))
+    elif space == "initial-pairs":
+        l = grid.get("l", k)
+        left = initial_families(n, k)
+        right = initial_families(n, l) if l != k else left
+        for a in left:
+            fa = SetFamily(n, k, a, _trusted=True)
+            for b in right:
+                yield Instance((fa, SetFamily(n, l, b, _trusted=True)), dict(params))
+    elif space == "dual-pairs":
+        t = params.get("t", 1)
+        l = grid.get("l", k)
+        a_masks = enumerate_ksubsets(n, k)
+        b_masks = enumerate_ksubsets(n, l)
+        compat = []
+        for bm in b_masks:
+            row = 0
+            for i, am in enumerate(a_masks):
+                if (am & bm).bit_count() >= t:
+                    row |= 1 << i
+            compat.append(row)
+        m_count = len(a_masks)
+        for abits in range(1 << m_count):
+            a_members = []
+            bb = abits
+            while bb:
+                low = bb & -bb
+                a_members.append(a_masks[low.bit_length() - 1])
+                bb ^= low
+            fa = SetFamily(n, k, a_members, _trusted=True)
+            dual = 0
+            for bi in range(len(b_masks)):
+                if not abits & ~compat[bi]:
+                    dual |= 1 << bi
+            sub = dual
+            while True:
+                b_members = []
+                bb = sub
+                while bb:
+                    low = bb & -bb
+                    b_members.append(b_masks[low.bit_length() - 1])
+                    bb ^= low
+                yield Instance((fa, SetFamily(n, l, b_members, _trusted=True)), dict(params))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & dual
+
+
+SPACES = [
+    ("families", {"n": 4, "k": 2}, {"t": 1}),
+    ("initial", {"n": 6, "k": 3}, {}),
+    ("initial-pairs", {"n": 5, "k": 2, "l": 2}, {}),
+    ("dual-pairs", {"n": 4, "k": 2, "l": 2}, {"t": 1}),
+]
+
+
+class TestSpaces:
+    @pytest.mark.parametrize("space,grid,params", SPACES, ids=[s[0] for s in SPACES])
+    def test_space_matches_oracle(self, space, grid, params):
+        from extremal.verify.harness import _space
+
+        count, exact, stream = _space(space, grid, params)
+        got = list(stream)
+        assert exact
+        assert count == len(got)
+        assert got == list(_oracle_space_instances(space, grid, params))
+
+    @pytest.mark.parametrize(
+        "sid,grid",
+        [
+            ("MATCHING_COR", {"n": 6, "k": 3, "space": "initial"}),
+            ("PROP_3_15", {"n": 5, "k": 2, "l": 2, "space": "initial-pairs"}),
+        ],
+    )
+    def test_initial_families_listed_once(self, monkeypatch, sid, grid):
+        from extremal.verify import harness
+
+        calls = []
+        original = harness.initial_families
+
+        def counted(n, k):
+            calls.append((n, k))
+            return original(n, k)
+
+        monkeypatch.setattr(harness, "initial_families", counted)
+        rep = exhaustive_sweep(sid, grid)
+        assert rep["result"]["totals"]["fail"] == 0
+        assert calls == [(grid["n"], grid["k"])]
