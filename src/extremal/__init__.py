@@ -66,8 +66,6 @@ from .shifting import (
     RhoAtMost,
     ShiftTrace,
     TIntersecting,
-    is_initial_on,
-    is_shifted,
     shift,
     shift_ad_extremis,
     shift_resistant_pairs,

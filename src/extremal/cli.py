@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -32,10 +31,9 @@ from .shifting import (
 )
 from .verify import (
     BudgetError,
-    default_budget,
     exhaustive_sweep,
     load_suite,
-    rerun_report,
+    run_recipe,
     run_suite,
     sample_sweep,
     search_max,
@@ -236,17 +234,21 @@ def cmd_shadow(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = args.threads or 1
     budget = args.budget
     reports = []
     try:
         if args.rerun:
             original = json.loads(Path(args.rerun).read_text(encoding="utf-8"))
-            reports = [rerun_report(original, threads=threads)]
+            found = original.get("reports", [original]) if isinstance(original, dict) else []
+            if not found or not all(isinstance(rep, dict) and "config" in rep for rep in found):
+                raise ValueError(f"{args.rerun} holds neither a report nor a suite bundle")
+            reports = [run_recipe(rep["config"], budget=budget) for rep in found]
         elif args.suite:
             config = load_suite(args.suite)
+            if budget is not None:
+                config["budget"] = budget
             only = set(args.id.split(",")) if args.id else None
-            reports = run_suite(config, threads=threads, only=only)
+            reports = run_suite(config, only=only)
         elif args.exhaustive is not None:
             from .verify import REGISTRY
 
@@ -257,15 +259,13 @@ def cmd_verify(args) -> int:
             ) else ("n", "k", "space")
             dims = {k: grid.pop(k) for k in dim_keys if k in grid}
             dims["params"] = grid
-            reports = [exhaustive_sweep(args.id, dims, threads=threads, budget=budget)]
+            reports = [exhaustive_sweep(args.id, dims, budget=budget)]
         elif args.sample is not None:
             opts = _parse_kv(args.sample)
             count = opts.pop("count", 200)
             seed = opts.pop("seed", args.seed)
             recipe = recipe_for(args.id, overrides=opts)
-            reports = [
-                sample_sweep(args.id, recipe["instance"], count, seed, threads=threads, budget=budget)
-            ]
+            reports = [sample_sweep(args.id, recipe["instance"], count, seed, budget=budget)]
         else:
             print("error: one of --exhaustive/--sample/--suite/--rerun required", file=sys.stderr)
             return 2
@@ -275,14 +275,14 @@ def cmd_verify(args) -> int:
     run_config = RunConfig(
         command="verify",
         params={"id": args.id, "exhaustive": args.exhaustive, "sample": args.sample,
-                "suite": args.suite, "rerun": args.rerun, "threads": threads},
+                "suite": args.suite, "rerun": args.rerun},
         seed=args.seed,
         budget=budget,
         out=args.out,
         format=args.format,
     ).to_dict()
     bundle = {"run_config": run_config, "reports": reports,
-              "timestamp": {"unix": time.time()}} if len(reports) > 1 else {
+              "timestamp": {"unix": time.time()}} if len(reports) != 1 else {
         "run_config": run_config, **reports[0], "timestamp": {"unix": time.time()}}
     _emit(bundle, args.out, args.format)
     for rep in reports:
@@ -328,7 +328,6 @@ def cmd_search(args) -> int:
 
 def _add_global_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default=defaults["format"])
-    parser.add_argument("--threads", type=int, default=defaults["threads"])
     parser.add_argument("--seed", type=int, default=defaults["seed"])
     parser.add_argument("--budget", type=int, default=defaults["budget"],
                         help="evaluation budget (default from EXTREMAL_BUDGET)")
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact set-family combinatorics: constructions, measures, "
         "shifting fixpoints, shadows, statement sweeps, and extremal search.",
     )
-    defaults = {"format": "text", "threads": os.cpu_count() or 1, "seed": 1, "budget": None}
+    defaults = {"format": "text", "seed": 1, "budget": None}
     _add_global_options(parser, defaults)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -221,12 +221,22 @@ def _unit_predecessors(mask: int) -> Iterator[int]:
             yield (mask ^ low) | (low >> 1)
 
 
-def is_initial(fam: SetFamily) -> bool:
-    """True iff the family is downward closed under the shifting order."""
+def is_initial(fam: SetFamily, upto: int | None = None) -> bool:
+    """True iff the family is downward closed under the shifting order on [upto].
+
+    Equivalently, every (i,j)-shift with j <= upto (default n) fixes the
+    family: the pairs that `shift_ad_extremis(..., upto=upto)` runs over.
+    """
+    if upto is None:
+        upto = fam.n
+    elif upto > fam.n:
+        raise ValueError(f"upto={upto} exceeds n={fam.n}")
+    # a unit predecessor replaces some y by y-1; it counts only when y <= upto
+    limit = 1 << max(upto, 0)
     have = set(fam.members)
     for mem in fam.members:
         for pred in _unit_predecessors(mem):
-            if pred not in have:
+            if pred not in have and mem ^ pred < limit:
                 return False
     return True
 

@@ -60,18 +60,6 @@ def _pairs(n: int):
             yield i, j
 
 
-def is_shifted(fam: SetFamily) -> bool:
-    """Fixed by every (i,j)-shift; equivalent to being an initial family."""
-    return is_initial_on(fam, fam.n)
-
-
-def is_initial_on(fam: SetFamily, m: int) -> bool:
-    """Fixed by every (i,j)-shift with j <= m."""
-    if m > fam.n:
-        raise ValueError(f"m={m} exceeds n={fam.n}")
-    return all(shift(fam, i, j) == fam for i, j in _pairs(m))
-
-
 # ---------------------------------------------------------------------------
 # PropertySpec: a tree of atoms over a tuple of family slots.
 # ---------------------------------------------------------------------------

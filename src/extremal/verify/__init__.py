@@ -2,7 +2,6 @@
 
 from .harness import (
     BudgetError,
-    Sampler,
     default_budget,
     exhaustive_sweep,
     initial_families,

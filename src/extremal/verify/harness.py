@@ -11,7 +11,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 from math import comb
 
@@ -30,14 +29,12 @@ from ..shifting import ALWAYS, shift_ad_extremis
 from .registry import (
     REGISTRY,
     Instance,
-    StatementReport,
     check_statement,
     param_repr,
     parse_param,
 )
 
 DEFAULT_BUDGET = 10**8
-MAX_WITNESSES = 5
 
 
 class BudgetError(ValueError):
@@ -230,18 +227,6 @@ def _draw_params(rng: random.Random, draws: dict, n: int) -> dict:
     return out
 
 
-class Sampler:
-    """Deterministic instance stream: identical seed+spec yields identical instances."""
-
-    def __init__(self, seed: int, inst_spec: dict):
-        self.seed = seed
-        self.inst_spec = inst_spec
-
-    def instances(self, sid: str, count: int):
-        for idx in range(count):
-            yield make_instance(_rng_for(self.seed, idx), sid, self.inst_spec)
-
-
 def make_instance(rng: random.Random, sid: str, inst_spec: dict) -> Instance:
     stmt = REGISTRY[sid]
     if stmt.kind == "family":
@@ -417,7 +402,7 @@ def _finalize(sid, config, totals, witnesses, extras, budget_used, elapsed, halt
     return {"config": config, "result": result, "timing": {"elapsed_s": round(elapsed, 6)}}
 
 
-def _consume(sid, instances, config, budget, threads=1):
+def _consume(sid, instances, config, budget):
     """Run checkers over an instance stream; halt deterministically on first FAIL."""
     t0 = time.perf_counter()
     totals = {"pass": 0, "vacuous": 0, "fail": 0}
@@ -425,9 +410,11 @@ def _consume(sid, instances, config, budget, threads=1):
     extras: dict = {}
     budget_used = 0
     halted = False
-
-    def handle(rep: StatementReport) -> bool:
-        nonlocal halted
+    for inst in instances:
+        budget_used += 2
+        if budget_used > budget:
+            raise BudgetError(f"budget {budget} exhausted mid-sweep")
+        rep = check_statement(sid, inst)
         _merge_extras(extras, rep.extras)
         if rep.verdict == "pass":
             totals["pass"] += 1
@@ -435,50 +422,22 @@ def _consume(sid, instances, config, budget, threads=1):
             totals["vacuous"] += 1
         else:
             totals["fail"] += 1
-            if len(witnesses) < MAX_WITNESSES and rep.witness:
+            if rep.witness:
                 witnesses.append(rep.witness)
             halted = True
-        return halted
-
-    if threads > 1:
-        # deterministic: instances are materialized in order, chunked, merged in order
-        insts = list(instances)
-        if 2 * len(insts) > budget:
-            raise BudgetError(f"estimated {2 * len(insts)} evaluations exceed budget {budget}")
-        chunk = max(1, len(insts) // threads + 1)
-        parts = [insts[i : i + chunk] for i in range(0, len(insts), chunk)]
-        pool = ThreadPoolExecutor(max_workers=threads)
-        try:
-            futures = [
-                pool.submit(lambda p: [check_statement(sid, x) for x in p], part)
-                for part in parts
-            ]
-            for fut in futures:
-                for rep in fut.result():
-                    if handle(rep):
-                        break
-                if halted:
-                    break
-        finally:
-            # a FAIL cancels sibling chunks that have not started yet
-            pool.shutdown(wait=True, cancel_futures=halted)
-    else:
-        for inst in instances:
-            budget_used += 2
-            if budget_used > budget:
-                raise BudgetError(f"budget {budget} exhausted mid-sweep")
-            if handle(check_statement(sid, inst)):
-                break
-
-    # canonical accounting: two evaluations per instance actually consumed,
-    # identical across thread counts even when a FAIL halts the sweep
-    budget_used = 2 * sum(totals.values())
+            break
     return _finalize(
         sid, config, totals, witnesses, extras, budget_used, time.perf_counter() - t0, halted
     )
 
 
-def sample_sweep(sid, inst_spec, count, seed, threads=1, budget=None):
+def _check_serial(threads: int) -> None:
+    # `threads` is accepted only so that callers passing threads=1 keep working
+    if threads != 1:
+        raise ValueError(f"sweeps run serially; threads must be 1, got {threads}")
+
+
+def sample_sweep(sid, inst_spec, count, seed, budget=None):
     """Deterministic seeded sampling sweep; identical seed gives identical result."""
     if sid not in REGISTRY:
         raise ValueError(f"unknown statement id {sid!r}")
@@ -493,12 +452,14 @@ def sample_sweep(sid, inst_spec, count, seed, threads=1, budget=None):
         "instance": inst_spec,
         "budget": budget,
     }
-    instances = Sampler(seed, inst_spec).instances(sid, count)
-    return _consume(sid, instances, config, budget, threads=threads)
+    # one generator per (seed, index), so each instance depends on nothing drawn before it
+    instances = (make_instance(_rng_for(seed, idx), sid, inst_spec) for idx in range(count))
+    return _consume(sid, instances, config, budget)
 
 
 def exhaustive_sweep(sid, grid, threads=1, budget=None):
     """Enumerate a whole instance space; any FAIL halts with a witness."""
+    _check_serial(threads)
     if sid not in REGISTRY:
         raise ValueError(f"unknown statement id {sid!r}")
     stmt = REGISTRY[sid]
@@ -532,7 +493,7 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
         if est > budget:
             bound = "" if exact else " (an upper bound: the space is too large to count)"
             raise BudgetError(f"estimated {est} evaluations{bound} exceed budget {budget}")
-    return _consume(sid, instances, config, budget, threads=threads)
+    return _consume(sid, instances, config, budget)
 
 
 def _kk_exhaustive(n, k, l, config, budget):
@@ -588,39 +549,23 @@ def _kk_exhaustive(n, k, l, config, budget):
 
 
 def run_recipe(recipe: dict, threads: int = 1, budget: int | None = None) -> dict:
+    """Run one suite entry or embedded report config; `budget` overrides the recipe's."""
+    _check_serial(threads)
     sid = recipe["id"]
+    budget = budget if budget is not None else recipe.get("budget")
     if recipe["mode"] == "sample":
-        return sample_sweep(
-            sid,
-            recipe["instance"],
-            recipe["count"],
-            recipe["seed"],
-            threads=threads,
-            budget=budget if budget is not None else recipe.get("budget"),
-        )
+        return sample_sweep(sid, recipe["instance"], recipe["count"], recipe["seed"], budget=budget)
     if recipe["mode"] == "exhaustive":
         grid = dict(recipe["grid"])
         if "params" in recipe:
             grid["params"] = recipe["params"]
-        return exhaustive_sweep(
-            sid,
-            grid,
-            threads=threads,
-            budget=budget if budget is not None else recipe.get("budget"),
-        )
+        return exhaustive_sweep(sid, grid, budget=budget)
     raise ValueError(f"unknown sweep mode {recipe['mode']!r}")
 
 
-def rerun_report(report: dict, threads: int = 1) -> dict:
+def rerun_report(report: dict) -> dict:
     """Re-run a report's embedded config; the result section must reproduce exactly."""
-    cfg = report["config"]
-    if cfg["mode"] == "sample":
-        return sample_sweep(
-            cfg["id"], cfg["instance"], cfg["count"], cfg["seed"],
-            threads=threads, budget=cfg.get("budget"),
-        )
-    grid = dict(cfg["grid"])
-    return exhaustive_sweep(cfg["id"], grid, threads=threads, budget=cfg.get("budget"))
+    return run_recipe(report["config"])
 
 
 def load_suite(path) -> dict:
@@ -628,10 +573,15 @@ def load_suite(path) -> dict:
         return json.load(fp)
 
 
-def run_suite(config: dict, threads: int = 1, only: set | None = None) -> list[dict]:
+def run_suite(config: dict, only: set | None = None) -> list[dict]:
+    """Run the suite's entries in file order, or only those whose id is in `only`."""
+    if only:
+        missing = sorted(only - {recipe["id"] for recipe in config["entries"]})
+        if missing:
+            raise ValueError(f"no suite entry for id {', '.join(missing)}")
     reports = []
     for recipe in config["entries"]:
         if only and recipe["id"] not in only:
             continue
-        reports.append(run_recipe(recipe, threads=threads, budget=config.get("budget")))
+        reports.append(run_recipe(recipe, budget=config.get("budget")))
     return reports

@@ -55,7 +55,6 @@ from ..order import (
     kk_min_shadow,
     shadow,
 )
-from ..shifting import is_initial_on
 
 
 def parse_param(value):
@@ -285,6 +284,8 @@ _register(
 
 
 def _hyp_big_cross(i: Instance) -> bool:
+    if not _pair_sizes_ok(i):
+        return False
     f, g = i.families
     bound = 2 * comb0(f.n - 2, f.k - 2) + 4 * comb0(f.n - 3, f.k - 3)
     return (
@@ -316,7 +317,8 @@ _register(
 _register(
     "THM_1_9",
     "pair",
-    lambda i: _f(i).k == _g(i).k
+    lambda i: _pair_sizes_ok(i)
+    and _f(i).k == _g(i).k
     and _f(i).n >= 39 * _f(i).k
     and min(len(_f(i)), len(_g(i))) >= triangle_size(_f(i).n, _f(i).k)
     and _cross(i),
@@ -328,7 +330,8 @@ _register(
 _register(
     "THM_1_10",
     "pair",
-    lambda i: 0 < i.params["eps"] <= Fraction(1, 58)
+    lambda i: _pair_sizes_ok(i)
+    and 0 < i.params["eps"] <= Fraction(1, 58)
     and _f(i).k == _g(i).k
     and min(len(_f(i)), len(_g(i))) * i.params["eps"] >= comb0(_f(i).n - 3, _f(i).k - 3)
     and _cross(i),
@@ -542,8 +545,8 @@ def _lem37_prefix(i: Instance) -> bool:
         f.n >= 10
         and f.k == g.k
         and _cross(i)
-        and is_initial_on(f, f.n - 8)
-        and is_initial_on(g, f.n - 8)
+        and is_initial(f, f.n - 8)
+        and is_initial(g, f.n - 8)
     )
 
 

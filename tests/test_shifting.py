@@ -23,8 +23,6 @@ from extremal.shifting import (
     Overlapping,
     RhoAtMost,
     TIntersecting,
-    is_initial_on,
-    is_shifted,
     shift,
     shift_ad_extremis,
     shift_resistant_pairs,
@@ -38,6 +36,11 @@ def fam(n, k, *sets):
 
 def rand_family(rng, n, k, density=0.4):
     return SetFamily(n, k, [m for m in enumerate_ksubsets(n, k) if rng.random() < density])
+
+
+def fixed_by_shifts(f, upto):
+    """Oracle for `is_initial(f, upto)`: every (i,j)-shift with j <= upto fixes f."""
+    return all(shift(f, i, j) == f for i in range(1, upto) for j in range(i + 1, upto + 1))
 
 
 class TestShift:
@@ -131,24 +134,39 @@ class TestWeight:
 
 class TestShiftedPredicates:
     def test_examples(self):
-        assert is_shifted(fam(4, 2, (1, 2)))
-        assert not is_shifted(fam(4, 2, (2, 3)))
+        assert is_initial(fam(4, 2, (1, 2)))
+        assert not is_initial(fam(4, 2, (2, 3)))
 
     def test_shifted_implies_initial_exhaustive(self):
-        masks = enumerate_ksubsets(5, 2)
-        agree = 0
-        for bits in range(1 << len(masks)):
-            f = SetFamily(5, 2, [masks[i] for i in range(len(masks)) if bits >> i & 1])
-            assert is_shifted(f) == is_initial(f)
-            agree += 1
-        assert agree == 1 << 10
+        for n, k in ((4, 2), (5, 2)):
+            masks = enumerate_ksubsets(n, k)
+            agree = 0
+            for bits in range(1 << len(masks)):
+                f = SetFamily(n, k, [masks[i] for i in range(len(masks)) if bits >> i & 1])
+                for upto in range(n + 1):
+                    assert is_initial(f, upto) == fixed_by_shifts(f, upto)
+                assert is_initial(f) == is_initial(f, n)
+                agree += 1
+            assert agree == 1 << len(masks)
+
+    def test_initial_on_shifted_samples(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n = rng.randint(6, 9)
+            f = rand_family(rng, n, 3, 0.3)
+            upto = rng.randint(2, n)
+            out = shift_ad_extremis((f,), ALWAYS, upto=upto)[0][0]
+            for m in range(n + 1):
+                assert is_initial(out, m) == fixed_by_shifts(out, m)
+                assert is_initial(f, m) == fixed_by_shifts(f, m)
+            assert is_initial(out, upto)
 
     def test_is_initial_on(self):
         f = fam(4, 2, (2, 3), (1, 4))
-        assert not is_initial_on(f, 2)
-        assert is_initial_on(fam(4, 2, (1, 2)), 4)
+        assert not is_initial(f, 2)
+        assert is_initial(fam(4, 2, (1, 2)), 4)
         with pytest.raises(ValueError):
-            is_initial_on(f, 5)
+            is_initial(f, 5)
 
 
 class TestAdExtremis:
@@ -158,7 +176,7 @@ class TestAdExtremis:
         assert [w[0] for _, w in trace.steps] == [5, 4]
         assert trace.final_weights == (3,)
         assert trace.resistant_pairs == []
-        assert is_shifted(out[0])
+        assert is_initial(out[0])
 
     def test_rho_guard_blocks_everything(self):
         f = fam(4, 2, (1, 2), (3, 4))
@@ -181,7 +199,7 @@ class TestAdExtremis:
             b = SetFamily(7, 3, [c for c in dual if rng.random() < 0.5])
             out, trace = shift_ad_extremis((a, b), prop)
             assert is_cross_t_intersecting(out[0], out[1], 1)
-            assert is_shifted(out[0]) and is_shifted(out[1])
+            assert is_initial(out[0]) and is_initial(out[1])
             assert trace.resistant_pairs == []
             assert len(out[0]) == len(a) and len(out[1]) == len(b)
             ran += 1
@@ -267,7 +285,7 @@ class TestAdExtremis:
             touched = {x for pair in trace.resistant_pairs for x in pair}
             m = min(touched) - 1 if touched else f.n
             if m >= 2:
-                assert is_initial_on(out[0], m)
+                assert is_initial(out[0], m)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +399,7 @@ class TestSingleLoopOracle:
                 if upto < 2:
                     assert out == (a, b) and trace.steps == []
                 else:
-                    assert all(is_initial_on(f, upto) for f in out)
+                    assert all(is_initial(f, upto) for f in out)
         assert shift_ad_extremis((a, b), ALWAYS, upto=8) == shift_ad_extremis((a, b), ALWAYS)
 
     def test_upto_bounds_resistant_pairs(self):
