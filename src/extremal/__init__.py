@@ -57,11 +57,9 @@ from .order import (
 from .shifting import (
     ALWAYS,
     And,
-    Callback,
     CrossTIntersecting,
     MatchingAtMost,
     NonTrivial,
-    Overlapping,
     PropertyAtom,
     RhoAtMost,
     ShiftTrace,

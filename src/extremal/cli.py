@@ -2,8 +2,10 @@
 
 Every emitted report embeds its full run configuration; re-running that
 configuration reproduces the result section byte-for-byte (timestamps live
-in a separate field).  Exit codes: 0 = no FAIL, 1 = FAIL found, 2 = invalid
-invocation, 3 = search stopped by its budget before it was complete.
+in a separate field), and `verify --rerun` checks that it does.  Exit codes:
+0 = no FAIL, 1 = FAIL found or a re-run result differs from the report's,
+2 = invalid invocation, 3 = search stopped by its budget before it was
+complete.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .verify import (
     sample_sweep,
     search_max,
 )
-from .verify.recipes import recipe_for
+from .verify.recipes import recipe_for, suite_config
 
 
 @dataclass
@@ -236,15 +238,19 @@ def cmd_shadow(args) -> int:
 def cmd_verify(args) -> int:
     budget = args.budget
     reports = []
+    originals = []
     try:
         if args.rerun:
             original = json.loads(Path(args.rerun).read_text(encoding="utf-8"))
             found = original.get("reports", [original]) if isinstance(original, dict) else []
-            if not found or not all(isinstance(rep, dict) and "config" in rep for rep in found):
+            if not found or not all(
+                isinstance(rep, dict) and isinstance(rep.get("config"), dict) for rep in found
+            ):
                 raise ValueError(f"{args.rerun} holds neither a report nor a suite bundle")
             reports = [run_recipe(rep["config"], budget=budget) for rep in found]
-        elif args.suite:
-            config = load_suite(args.suite)
+            originals = [rep.get("result") for rep in found]
+        elif args.suite is not None:
+            config = load_suite(args.suite) if args.suite else suite_config()
             if budget is not None:
                 config["budget"] = budget
             only = set(args.id.split(",")) if args.id else None
@@ -287,8 +293,14 @@ def cmd_verify(args) -> int:
     _emit(bundle, args.out, args.format)
     for rep in reports:
         print(_summarize(rep))
+    differs = False
+    for rep, result in zip(reports, originals):
+        if json.dumps(rep["result"], sort_keys=True) != json.dumps(result, sort_keys=True):
+            print(f"error: rerun of {rep['result']['id']} does not reproduce its result",
+                  file=sys.stderr)
+            differs = True
     any_fail = any(rep["result"]["totals"]["fail"] > 0 for rep in reports)
-    return 1 if any_fail else 0
+    return 1 if any_fail or differs else 0
 
 
 def cmd_search(args) -> int:
@@ -384,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", help="statement id (or comma list with --suite)")
     p.add_argument("--exhaustive", help="grid, e.g. n=5,k=2,t=1[,space=initial]")
     p.add_argument("--sample", help="options, e.g. n=24,k=3,d=2,count=200,seed=7")
-    p.add_argument("--suite", help="path to a suite config JSON")
-    p.add_argument("--rerun", help="path to an emitted report to reproduce")
+    p.add_argument("--suite", nargs="?", const="",
+                   help="run a suite config JSON, or the shipped suite when no path is given")
+    p.add_argument("--rerun", help="re-run an emitted report; exit 1 unless its result reproduces")
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(fn=cmd_verify)
 

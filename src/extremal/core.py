@@ -128,9 +128,6 @@ class SetFamily:
         """Members as ascending element tuples."""
         return [elems_of(m) for m in self.members]
 
-    def replace_members(self, members: Iterable[int]) -> "SetFamily":
-        return SetFamily(self.n, self.k, members)
-
 
 def family_union(a: SetFamily, b: SetFamily) -> SetFamily:
     if (a.n, a.k) != (b.n, b.k):

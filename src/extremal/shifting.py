@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import SetFamily
 from .measures import (
@@ -116,37 +116,6 @@ class NonTrivial(PropertyAtom):
 
     def holds(self, families):
         return is_nontrivial(families[self.slot])
-
-
-@dataclass(frozen=True)
-class Overlapping(PropertyAtom):
-    """No system of pairwise disjoint representatives, one per listed slot."""
-
-    slots: tuple[int, ...]
-
-    def holds(self, families):
-        fams = [families[s] for s in self.slots]
-
-        def dfs(idx: int, used: int) -> bool:
-            if idx == len(fams):
-                return True  # found pairwise disjoint representatives
-            for m in fams[idx].members:
-                if not m & used and dfs(idx + 1, used | m):
-                    return True
-            return False
-
-        return not dfs(0, 0)
-
-
-@dataclass(frozen=True)
-class Callback(PropertyAtom):
-    """Escape hatch for arbitrary predicates; excluded from preservation guarantees."""
-
-    fn: Callable[[Sequence[SetFamily]], bool]
-    name: str = "callback"
-
-    def holds(self, families):
-        return self.fn(families)
 
 
 @dataclass(frozen=True)

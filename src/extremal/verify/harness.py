@@ -14,7 +14,7 @@ import time
 from itertools import combinations, product
 from math import comb
 
-from ..constructions import brace_daykin, build, frankl_family, full_star
+from ..constructions import brace_daykin, full_star
 from ..core import SetFamily, elems_of, enumerate_ksubsets
 from ..core import _unit_predecessors
 from ..measures import (
@@ -67,10 +67,16 @@ def _grow_shuffled(fam: SetFamily, addable, rng: random.Random) -> SetFamily:
     return grow(fam, addable, cands)
 
 
+_FAMILY_MODES = (
+    "uniform", "star-perturbation", "shifted", "shifted-star",
+    "bdslice-sub", "pseudo-filter", "saturated-t", "saturated-rwise",
+)
+
+
 def gen_family(rng: random.Random, spec: dict) -> SetFamily:
     mode = spec["mode"]
-    if mode == "construction":
-        return build(spec["name"], tuple(spec.get("params", ()))).single()
+    if mode not in _FAMILY_MODES:
+        raise ValueError(f"unknown family mode {mode!r}")
     n, k = spec["n"], spec["k"]
     if mode == "uniform":
         members = _keep(rng, enumerate_ksubsets(n, k), spec.get("density", 0.5))
@@ -96,9 +102,6 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
              "keep": spec.get("keep", 0.8), "adds": 0},
         )
         return shift_ad_extremis((base,), ALWAYS)[0][0]
-    if mode == "frankl-sub":
-        fam = frankl_family(n, k, spec.get("t", 1))
-        return SetFamily(n, k, _keep(rng, fam.members, spec.get("keep", 0.8)), _trusted=True)
     if mode == "bdslice-sub":
         slices = brace_daykin(n, spec["r"])
         chosen = next((s for s in slices if s.k == k), None)
@@ -119,13 +122,12 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
              "keep": spec.get("keep", 0.4), "adds": 0},
         )
         return _grow_shuffled(seed_fam, addable_t_intersecting(t), rng)
-    if mode == "saturated-rwise":
-        r = spec["r"]
-        seed_fam = gen_family(
-            rng, {"mode": "bdslice-sub", "n": n, "k": k, "r": r, "keep": spec.get("keep", 0.5)}
-        )
-        return _grow_shuffled(seed_fam, addable_r_wise(r), rng)
-    raise ValueError(f"unknown family mode {mode!r}")
+    # saturated-rwise
+    r = spec["r"]
+    seed_fam = gen_family(
+        rng, {"mode": "bdslice-sub", "n": n, "k": k, "r": r, "keep": spec.get("keep", 0.5)}
+    )
+    return _grow_shuffled(seed_fam, addable_r_wise(r), rng)
 
 
 def _dual_members(a_fam: SetFamily, l: int, t: int) -> list[int]:
@@ -138,13 +140,6 @@ def _dual_members(a_fam: SetFamily, l: int, t: int) -> list[int]:
 
 def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
     mode = spec["mode"]
-    if mode == "independent":
-        return gen_family(rng, spec["a"]), gen_family(rng, spec["b"])
-    if mode == "construction-pair":
-        nf = build(spec["name"], tuple(spec.get("params", ())))
-        if len(nf.families) != 2:
-            raise ValueError(f"{spec['name']} is not a pair construction")
-        return nf.families[0][1], nf.families[1][1]
     if mode == "star-pair":
         n, k, t = spec["n"], spec["k"], spec.get("t", 1)
         star = full_star(n, k, t)
@@ -196,32 +191,31 @@ def gen_slices(rng: random.Random, spec: dict) -> tuple[SetFamily, ...]:
     return tuple(out)
 
 
+def _two_names(key: str) -> list[str]:
+    names = key.split(",")
+    if len(names) != 2:
+        raise ValueError(f"a pair draw needs two comma-separated names, got {key!r}")
+    return names
+
+
 def _draw_params(rng: random.Random, draws: dict, n: int) -> dict:
     out = {}
-    for key, kind in draws.items():
+    # in sorted key order, the order reports store, so a re-run draws what the run drew
+    for key, kind in sorted(draws.items()):
         if kind == "subset":
             out[key] = [e for e in range(1, n + 1) if rng.random() < 0.5]
-        elif kind == "element":
-            out[key] = rng.randint(1, n)
         elif kind == "pair":
             a, b = rng.sample(range(1, n + 1), 2)
-            names = key.split(",")
-            if len(names) == 2:
-                out[names[0]], out[names[1]] = min(a, b), max(a, b)
-            else:
-                out[key] = sorted((a, b))
-        elif kind.startswith("disjoint-pair:"):
-            other = out[kind.split(":", 1)[1]]
-            pool = [e for e in range(1, n + 1) if e not in other]
-            out[key] = sorted(rng.sample(pool, 2))
+            low, high = _two_names(key)
+            out[low], out[high] = min(a, b), max(a, b)
         elif kind.startswith("int:"):
             lo, hi = map(int, kind.split(":", 1)[1].split(","))
             out[key] = rng.randint(lo, hi)
         elif kind.startswith("leq-pair:"):
             lo, hi = map(int, kind.split(":", 1)[1].split(","))
             a, b = rng.randint(lo, hi), rng.randint(lo, hi)
-            names = key.split(",")
-            out[names[0]], out[names[1]] = min(a, b), max(a, b)
+            low, high = _two_names(key)
+            out[low], out[high] = min(a, b), max(a, b)
         else:
             raise ValueError(f"unknown draw kind {kind!r}")
     return out
@@ -548,19 +542,29 @@ def _kk_exhaustive(n, k, l, config, budget):
 # ---------------------------------------------------------------------------
 
 
+# the keys each sweep mode reads from a recipe
+_RECIPE_KEYS = {"sample": ("id", "instance", "count", "seed"), "exhaustive": ("id", "grid")}
+
+
 def run_recipe(recipe: dict, threads: int = 1, budget: int | None = None) -> dict:
     """Run one suite entry or embedded report config; `budget` overrides the recipe's."""
     _check_serial(threads)
+    if "mode" not in recipe:
+        raise ValueError("recipe has no mode")
+    mode = recipe["mode"]
+    if mode not in _RECIPE_KEYS:
+        raise ValueError(f"unknown sweep mode {mode!r}")
+    missing = [key for key in _RECIPE_KEYS[mode] if key not in recipe]
+    if missing:
+        raise ValueError(f"{mode} recipe lacks {', '.join(missing)}")
     sid = recipe["id"]
     budget = budget if budget is not None else recipe.get("budget")
-    if recipe["mode"] == "sample":
+    if mode == "sample":
         return sample_sweep(sid, recipe["instance"], recipe["count"], recipe["seed"], budget=budget)
-    if recipe["mode"] == "exhaustive":
-        grid = dict(recipe["grid"])
-        if "params" in recipe:
-            grid["params"] = recipe["params"]
-        return exhaustive_sweep(sid, grid, budget=budget)
-    raise ValueError(f"unknown sweep mode {recipe['mode']!r}")
+    grid = dict(recipe["grid"])
+    if "params" in recipe:
+        grid["params"] = recipe["params"]
+    return exhaustive_sweep(sid, grid, budget=budget)
 
 
 def rerun_report(report: dict) -> dict:
@@ -570,18 +574,22 @@ def rerun_report(report: dict) -> dict:
 
 def load_suite(path) -> dict:
     with open(path, "r", encoding="utf-8") as fp:
-        return json.load(fp)
+        config = json.load(fp)
+    entries = config.get("entries") if isinstance(config, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{path} holds no suite: an object with a list of entry objects")
+    return config
 
 
 def run_suite(config: dict, only: set | None = None) -> list[dict]:
     """Run the suite's entries in file order, or only those whose id is in `only`."""
     if only:
-        missing = sorted(only - {recipe["id"] for recipe in config["entries"]})
+        missing = sorted(only - {recipe.get("id") for recipe in config["entries"]})
         if missing:
             raise ValueError(f"no suite entry for id {', '.join(missing)}")
     reports = []
     for recipe in config["entries"]:
-        if only and recipe["id"] not in only:
+        if only and recipe.get("id") not in only:
             continue
         reports.append(run_recipe(recipe, budget=config.get("budget")))
     return reports

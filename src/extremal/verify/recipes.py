@@ -1,10 +1,10 @@
 """Default desk-scale sweep recipes for every registry statement.
 
-The shipped suite file (configs/registry_sweep.json) is generated from this
-table; a unit test keeps the two in sync.  Statements whose hypotheses are
-unreachable on a 63-element ground set (the 39k-range cross theorems and the
-deep t-intersecting corollary) are swept anyway and documented as
-vacuous-only: their acceptance is property-based (no FAIL ever).
+`suite_config()` builds the shipped suite from this table, and `verify
+--suite` with no path runs it.  Statements whose hypotheses are unreachable
+on a 63-element ground set (the 39k-range cross theorems and the deep
+t-intersecting corollary) are swept anyway and documented as vacuous-only:
+their acceptance is property-based (no FAIL ever).
 """
 
 from __future__ import annotations
@@ -544,12 +544,7 @@ def suite_config() -> dict:
         entry.update(copy.deepcopy(RECIPES[sid]))
         entries.append(entry)
     entries.extend(copy.deepcopy(EXHAUSTIVE_EXTRAS))
-    return {
-        "budget": 10**8,
-        "vacuous_only": list(VACUOUS_ONLY),
-        "must_be_nonvacuous": list(MUST_BE_NONVACUOUS),
-        "entries": entries,
-    }
+    return {"budget": 10**8, "entries": entries}
 
 
 def _override(node, overrides: dict) -> None:

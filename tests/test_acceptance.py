@@ -9,7 +9,6 @@ import json
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -49,12 +48,10 @@ from extremal.verify import (
     sample_sweep,
     search_max,
 )
-from extremal.verify.recipes import MUST_BE_NONVACUOUS, VACUOUS_ONLY
+from extremal.verify.recipes import MUST_BE_NONVACUOUS, VACUOUS_ONLY, suite_config
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-SUITE_PATH = REPO_ROOT / "configs" / "registry_sweep.json"
 # sha256 over json.dumps(result, sort_keys=True) of every shipped suite entry, in
-# file order; a change to any verdict, total, witness or extra changes it
+# suite order; a change to any verdict, total, witness or extra changes it
 SUITE_RESULT_SHA256 = "3b76cff8853a6b3cca31e8b493e7a5d046682636b846f21101c232a8790950d9"
 
 
@@ -252,8 +249,7 @@ def test_criterion_8_prop_3_15_exhaustive():
 
 def test_criterion_9_registry_soundness():
     t0 = time.time()
-    config = json.loads(SUITE_PATH.read_text(encoding="utf-8"))
-    reports = run_suite(config)
+    reports = run_suite(suite_config())
     fails = [r["result"]["id"] for r in reports if r["result"]["totals"]["fail"]]
     nonvac = {}
     for r in reports:
@@ -308,8 +304,7 @@ def test_criterion_10_extremal_search():
 
 def test_criterion_11_reproducibility():
     t0 = time.time()
-    config = json.loads(SUITE_PATH.read_text(encoding="utf-8"))
-    entries = {e["id"]: e for e in config["entries"] if e["mode"] == "sample"}
+    entries = {e["id"]: e for e in suite_config()["entries"] if e["mode"] == "sample"}
     ok = True
     for sid in ("EKR_1_1", "DICHOTOMY", "BD_5_1", "FACT_3_13"):
         recipe = entries[sid]

@@ -12,10 +12,10 @@ from extremal.cli import build_parser, main, parse_property_spec
 from extremal.core import read_family
 from extremal.measures import rho
 from extremal.shifting import CrossTIntersecting, RhoAtMost, TIntersecting
+from extremal.verify.recipes import suite_config
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SUITE = Path(__file__).resolve().parents[1] / "configs" / "registry_sweep.json"
 
 
 def run_cli(args, cwd):
@@ -161,6 +161,44 @@ class TestVerifyCommand:
             again["result"], sort_keys=True
         )
 
+    def test_sampled_draws_rerun_identically(self, tmp_path):
+        # BINOM_1_11 draws n, k and i; a re-run reads them back from the report
+        report = tmp_path / "r.json"
+        assert main(["verify", "--id", "BINOM_1_11", "--sample", "count=200",
+                     "--out", str(report)]) == 0
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        rerun_out = tmp_path / "r2.json"
+        assert main(["verify", "--rerun", str(report), "--out", str(rerun_out)]) == 0
+        again = json.loads(rerun_out.read_text(encoding="utf-8"))
+        assert payload["result"] == again["result"]
+
+    def test_rerun_that_differs_exits_1(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["verify", "--id", "PROP_1_3", "--sample", "count=50,seed=9",
+                     "--out", str(report)]) == 0
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        payload["result"]["totals"]["pass"] += 1
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--rerun", str(report)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: rerun of PROP_1_3 does not reproduce its result"]
+
+    @pytest.mark.parametrize("option, payload, message", [
+        ("--rerun", {"config": {"id": "KATONA"}}, "recipe has no mode"),
+        ("--suite", {"entries": [{"id": "KATONA"}]}, "recipe has no mode"),
+        ("--suite", {"entries": [{"id": "KATONA", "mode": "exhaustive"}]},
+         "exhaustive recipe lacks grid"),
+        ("--suite", [1], "holds no suite"),
+        ("--suite", {"entries": [1]}, "holds no suite"),
+    ])
+    def test_malformed_recipe_exit_2(self, tmp_path, capsys, option, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", option, str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+
     def test_invalid_invocation_exit_2(self):
         assert main(["verify", "--id", "KATONA"]) == 2
         assert main(["verify", "--id", "NOPE", "--sample", "count=5"]) == 2
@@ -174,13 +212,13 @@ class TestVerifyCommand:
                      "--budget", "100"]) == 2
 
     def test_suite_unknown_id_exit_2(self, capsys):
-        rc = main(["verify", "--suite", str(SUITE), "--id", "NOPE,KATONA,ZZZ"])
+        rc = main(["verify", "--suite", "--id", "NOPE,KATONA,ZZZ"])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "NOPE, ZZZ" in err[0]
 
     def test_suite_honours_budget(self, capsys):
-        rc = main(["verify", "--suite", str(SUITE), "--id", "KATONA", "--budget", "10"])
+        rc = main(["verify", "--suite", "--id", "KATONA", "--budget", "10"])
         assert rc == 2
         assert "exceed budget 10" in capsys.readouterr().err
 
@@ -194,7 +232,7 @@ class TestVerifyCommand:
 
     def test_rerun_suite_bundle(self, tmp_path):
         bundle = tmp_path / "suite.json"
-        assert main(["verify", "--suite", str(SUITE), "--id", "KATONA,HILTON",
+        assert main(["verify", "--suite", "--id", "KATONA,HILTON",
                      "--out", str(bundle)]) == 0
         first = json.loads(bundle.read_text(encoding="utf-8"))
         again_path = tmp_path / "again.json"
@@ -204,7 +242,23 @@ class TestVerifyCommand:
         assert len(results) == 4
         assert results == [json.dumps(r["result"], sort_keys=True) for r in again["reports"]]
 
-    @pytest.mark.parametrize("payload", [{"run_config": {}}, {"reports": [{"result": {}}]}, [1]])
+    def test_suite_file_matches_shipped_suite(self, tmp_path):
+        config = suite_config()
+        config["entries"] = [e for e in config["entries"] if e["id"] in ("KATONA", "HILTON")]
+        suite_file = tmp_path / "suite.json"
+        suite_file.write_text(json.dumps(config), encoding="utf-8")
+        from_file, shipped = tmp_path / "from_file.json", tmp_path / "shipped.json"
+        assert main(["verify", "--suite", str(suite_file), "--out", str(from_file)]) == 0
+        assert main(["verify", "--suite", "--id", "KATONA,HILTON", "--out", str(shipped)]) == 0
+        results = [
+            [r["result"] for r in json.loads(p.read_text(encoding="utf-8"))["reports"]]
+            for p in (from_file, shipped)
+        ]
+        assert len(results[0]) == 4 and results[0] == results[1]
+
+    @pytest.mark.parametrize("payload", [
+        {"run_config": {}}, {"reports": [{"result": {}}]}, [1], {"config": 5},
+    ])
     def test_rerun_needs_report_or_bundle(self, tmp_path, capsys, payload):
         bogus = tmp_path / "bogus.json"
         bogus.write_text(json.dumps(payload), encoding="utf-8")
@@ -298,3 +352,8 @@ class TestSubprocessEntry:
         proc = run_cli(["construct", "--id", "fano"], cwd=tmp_path)
         assert proc.returncode == 0
         assert "size=7" in proc.stdout
+
+    def test_shipped_suite_runs_from_any_directory(self, tmp_path):
+        proc = run_cli(["verify", "--suite", "--id", "KATONA"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("id=KATONA ") == 2

@@ -16,11 +16,9 @@ from extremal.measures import (
 from extremal.shifting import (
     ALWAYS,
     And,
-    Callback,
     CrossTIntersecting,
     MatchingAtMost,
     NonTrivial,
-    Overlapping,
     RhoAtMost,
     TIntersecting,
     shift,
@@ -97,20 +95,6 @@ class TestShift:
             f = rand_family(rng, 8, 3, 0.2)
             i, j = sorted(rng.sample(range(1, 9), 2))
             assert matching_number(shift(f, i, j)) <= matching_number(f)
-
-    def test_overlapping_preserved_simultaneous(self):
-        rng = random.Random(5)
-        prop = Overlapping((0, 1, 2))
-        hits = 0
-        for _ in range(200):
-            fams = tuple(rand_family(rng, 6, 2, 0.25) for _ in range(3))
-            if not prop.holds(fams):
-                continue
-            hits += 1
-            i, j = sorted(rng.sample(range(1, 7), 2))
-            shifted = tuple(shift(f, i, j) for f in fams)
-            assert prop.holds(shifted)
-        assert hits > 20
 
 
 class TestWeight:
@@ -231,17 +215,6 @@ class TestAdExtremis:
         tri = fam(5, 2, (1, 2), (1, 3), (2, 3))
         out, trace = shift_ad_extremis((tri,), And((NonTrivial(0),)))
         assert out[0] == tri  # any effective shift would create a star
-
-    def test_callback_atom(self):
-        seen = []
-
-        def no_op(fams):
-            seen.append(len(fams))
-            return True
-
-        out, _ = shift_ad_extremis((fam(4, 2, (2, 3)),), And((Callback(no_op),)))
-        assert out[0].sets() == [(1, 2)]
-        assert seen
 
     def test_trace_json_shape(self):
         f = fam(4, 2, (1, 2), (3, 4))

@@ -256,17 +256,12 @@ class TestRegistryHygiene:
     )
     def test_initial_cross_pairs_need_two_families(self, sid):
         # eps in range, so THM_1_10 gets past its eps bound to the families
-        single = Instance((fam(6, 3, (1, 2, 3)),), {"t": 1, "eps": Fraction(1, 100)})
+        params = {"t": 1, "eps": Fraction(1, 100)}
+        single = Instance((fam(6, 3, (1, 2, 3)),), params)
         assert check_statement(sid, single).verdict == "vacuous"
-
-    def test_shipped_suite_matches_recipes(self):
-        from pathlib import Path
-
-        from extremal.verify.recipes import suite_config
-
-        path = Path(__file__).resolve().parents[1] / "configs" / "registry_sweep.json"
-        shipped = json.loads(path.read_text(encoding="utf-8"))
-        assert shipped == suite_config()
+        # two families on different ground sets are not a pair either
+        mixed = Instance((fam(6, 3, (1, 2, 3)), fam(7, 3, (1, 2, 3))), params)
+        assert check_statement(sid, mixed).verdict == "vacuous"
 
     def test_budget_env_override(self, monkeypatch):
         from extremal.verify import default_budget
