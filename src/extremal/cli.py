@@ -1,5 +1,8 @@
 """Command-line frontend: construct | measure | shift | lex | shadow | verify | search.
 
+`verify` takes exactly one of --exhaustive, --sample, --suite and --rerun,
+and every mode runs its recipes through `run_recipe`.  The global options
+are --format and --budget (default `DEFAULT_BUDGET`, 10^8 evaluations).
 Every emitted report embeds its full run configuration; re-running that
 configuration reproduces the result section byte-for-byte (timestamps live
 in a separate field), and `verify --rerun` checks that it does.  Exit codes:
@@ -32,12 +35,11 @@ from .shifting import (
     shift_ad_extremis,
 )
 from .verify import (
+    REGISTRY,
     BudgetError,
-    exhaustive_sweep,
     load_suite,
     run_recipe,
     run_suite,
-    sample_sweep,
     search_max,
 )
 from .verify.recipes import recipe_for, suite_config
@@ -49,7 +51,6 @@ class RunConfig:
 
     command: str
     params: dict = field(default_factory=dict)
-    seed: int | None = None
     budget: int | None = None
     out: str | None = None
     format: str = "text"
@@ -101,6 +102,7 @@ def parse_property_spec(text: str, slots: int = 1):
 
 
 def _parse_kv(text: str) -> dict:
+    """key=value pairs; a value is read as an int, else a decimal float, else kept as text."""
     out = {}
     for tok in text.split(","):
         tok = tok.strip()
@@ -108,11 +110,14 @@ def _parse_kv(text: str) -> dict:
             continue
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        try:
-            out[key.strip()] = int(val)
-        except ValueError:
-            out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in tok.split("=", 1))
+        out[key] = val
+        for parse in (int, float):
+            try:
+                out[key] = parse(val)
+                break
+            except ValueError:
+                pass
     return out
 
 
@@ -235,9 +240,22 @@ def cmd_shadow(args) -> int:
     return 0
 
 
+def _single_recipe(args) -> dict:
+    """The one recipe that --sample or --exhaustive describes."""
+    if args.sample is not None:
+        return recipe_for(args.id, overrides=_parse_kv(args.sample))
+    grid = _parse_kv(args.exhaustive)
+    # "l" is the partner uniformity for pair statements, a parameter otherwise
+    dim_keys = ("n", "k", "l", "space") if (
+        args.id in REGISTRY and REGISTRY[args.id].kind == "pair"
+    ) else ("n", "k", "space")
+    dims = {k: grid.pop(k) for k in dim_keys if k in grid}
+    dims["params"] = grid
+    return {"id": args.id, "mode": "exhaustive", "grid": dims}
+
+
 def cmd_verify(args) -> int:
     budget = args.budget
-    reports = []
     originals = []
     try:
         if args.rerun:
@@ -255,26 +273,8 @@ def cmd_verify(args) -> int:
                 config["budget"] = budget
             only = set(args.id.split(",")) if args.id else None
             reports = run_suite(config, only=only)
-        elif args.exhaustive is not None:
-            from .verify import REGISTRY
-
-            grid = _parse_kv(args.exhaustive)
-            # "l" is the partner uniformity for pair statements, a parameter otherwise
-            dim_keys = ("n", "k", "l", "space") if (
-                args.id in REGISTRY and REGISTRY[args.id].kind == "pair"
-            ) else ("n", "k", "space")
-            dims = {k: grid.pop(k) for k in dim_keys if k in grid}
-            dims["params"] = grid
-            reports = [exhaustive_sweep(args.id, dims, budget=budget)]
-        elif args.sample is not None:
-            opts = _parse_kv(args.sample)
-            count = opts.pop("count", 200)
-            seed = opts.pop("seed", args.seed)
-            recipe = recipe_for(args.id, overrides=opts)
-            reports = [sample_sweep(args.id, recipe["instance"], count, seed, budget=budget)]
         else:
-            print("error: one of --exhaustive/--sample/--suite/--rerun required", file=sys.stderr)
-            return 2
+            reports = [run_recipe(_single_recipe(args), budget=budget)]
     except (BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -282,7 +282,6 @@ def cmd_verify(args) -> int:
         command="verify",
         params={"id": args.id, "exhaustive": args.exhaustive, "sample": args.sample,
                 "suite": args.suite, "rerun": args.rerun},
-        seed=args.seed,
         budget=budget,
         out=args.out,
         format=args.format,
@@ -304,23 +303,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    kv = {}
-    for tok in args.kv or ():
-        kv.update(_parse_kv(tok))
-    n = args.n if args.n is not None else kv.get("n")
-    k = args.k if args.k is not None else kv.get("k")
-    if n is None or k is None:
-        print("error: search needs n and k", file=sys.stderr)
-        return 2
     try:
         prop = parse_property_spec(args.prop, slots=1)
-        result = search_max(int(n), int(k), prop, budget=args.budget)
+        result = search_max(args.n, args.k, prop, budget=args.budget)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     run_config = RunConfig(
         command="search",
-        params={"n": n, "k": k, "prop": args.prop},
+        params={"n": args.n, "k": args.k, "prop": args.prop},
         budget=args.budget,
         out=args.out,
         format=args.format,
@@ -340,9 +331,8 @@ def cmd_search(args) -> int:
 
 def _add_global_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default=defaults["format"])
-    parser.add_argument("--seed", type=int, default=defaults["seed"])
     parser.add_argument("--budget", type=int, default=defaults["budget"],
-                        help="evaluation budget (default from EXTREMAL_BUDGET)")
+                        help="evaluation budget (default 10^8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact set-family combinatorics: constructions, measures, "
         "shifting fixpoints, shadows, statement sweeps, and extremal search.",
     )
-    defaults = {"format": "text", "seed": 1, "budget": None}
+    defaults = {"format": "text", "budget": None}
     _add_global_options(parser, defaults)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -394,18 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("verify", help="run statement sweeps")
     p.add_argument("--id", help="statement id (or comma list with --suite)")
-    p.add_argument("--exhaustive", help="grid, e.g. n=5,k=2,t=1[,space=initial]")
-    p.add_argument("--sample", help="options, e.g. n=24,k=3,d=2,count=200,seed=7")
-    p.add_argument("--suite", nargs="?", const="",
-                   help="run a suite config JSON, or the shipped suite when no path is given")
-    p.add_argument("--rerun", help="re-run an emitted report; exit 1 unless its result reproduces")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exhaustive", help="grid, e.g. n=5,k=2,t=1[,space=initial]")
+    mode.add_argument("--sample", nargs="?", const="",
+                      help="the id's shipped sample recipe, with overrides such as "
+                      "n=24,k=3,d=2,count=200,seed=7")
+    mode.add_argument("--suite", nargs="?", const="",
+                      help="run a suite config JSON, or the shipped suite when no path is given")
+    mode.add_argument("--rerun",
+                      help="re-run an emitted report; exit 1 unless its result reproduces")
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(fn=cmd_verify)
 
     p = add_command("search", help="exact max family size under a property")
-    p.add_argument("kv", nargs="*", help="n=5 k=2 style positional options")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--prop", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)

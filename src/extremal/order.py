@@ -134,7 +134,8 @@ def kk_min_shadow(n: int, k: int, m: int, l: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _lex_cross_intersecting(n: int, a: int, b: int, ma: int, mb: int) -> bool:
+def lex_cross_intersecting(n: int, a: int, b: int, ma: int, mb: int) -> bool:
+    """Whether the first ma a-sets and the first mb b-sets of [n] in lex order cross-intersect."""
     ground = tuple(range(1, n + 1))
     la = lex_masks(ground, a, ma)
     lb = lex_masks(ground, b, mb)
@@ -158,7 +159,7 @@ def hilton_transfer(a_fam: SetFamily, b_fam: SetFamily) -> bool:
         raise ValueError(f"need n >= a+b, got n={n}, a={a_fam.k}, b={b_fam.k}")
     if not is_cross_t_intersecting(a_fam, b_fam, 1):
         raise ValueError("input families are not cross-intersecting")
-    return _lex_cross_intersecting(n, a_fam.k, b_fam.k, len(a_fam), len(b_fam))
+    return lex_cross_intersecting(n, a_fam.k, b_fam.k, len(a_fam), len(b_fam))
 
 
 def katona_shadow_ratio(k: int, t: int, l: int) -> Fraction:
@@ -210,8 +211,4 @@ def cross_shadow_dichotomy(
         raise ValueError(f"t={t} outside [1, min(k1,k2)]")
     if not is_cross_t_intersecting(a_fam, b_fam, t):
         raise ValueError("input families are not cross t-intersecting")
-    for fam, l in ((a_fam, l1), (b_fam, l2)):
-        lhs, rhs = katona_sides(fam, t, l)
-        if lhs >= rhs:
-            return True
-    return False
+    return any(lhs >= rhs for lhs, rhs in map(katona_sides, (a_fam, b_fam), (t, t), (l1, l2)))

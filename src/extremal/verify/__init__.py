@@ -2,12 +2,10 @@
 
 from .harness import (
     BudgetError,
-    default_budget,
     exhaustive_sweep,
     initial_families,
     load_suite,
     make_instance,
-    rerun_report,
     run_recipe,
     run_suite,
     sample_sweep,

@@ -8,7 +8,6 @@ field).  Budgets are counted in predicate evaluations, not wall time.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from itertools import combinations, product
@@ -31,7 +30,7 @@ from .registry import (
     Instance,
     check_statement,
     param_repr,
-    parse_param,
+    parse_params,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -39,10 +38,6 @@ DEFAULT_BUDGET = 10**8
 
 class BudgetError(ValueError):
     """Raised when a sweep would exceed the evaluation budget."""
-
-
-def default_budget() -> int:
-    return int(os.environ.get("EXTREMAL_BUDGET", DEFAULT_BUDGET))
 
 
 def _rng_for(seed: int, idx: int) -> random.Random:
@@ -55,6 +50,15 @@ def _rng_for(seed: int, idx: int) -> random.Random:
 # ---------------------------------------------------------------------------
 # family generators
 # ---------------------------------------------------------------------------
+
+
+def _need(spec, what: str, *keys) -> None:
+    """Raise a ValueError naming the first of `keys` that the spec lacks."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} spec must be an object, got {spec!r}")
+    for key in keys:
+        if key not in spec:
+            raise ValueError(f"{what} spec lacks {key!r}")
 
 
 def _keep(rng: random.Random, masks, keep: float) -> list[int]:
@@ -74,9 +78,13 @@ _FAMILY_MODES = (
 
 
 def gen_family(rng: random.Random, spec: dict) -> SetFamily:
+    _need(spec, "family", "mode")
     mode = spec["mode"]
     if mode not in _FAMILY_MODES:
         raise ValueError(f"unknown family mode {mode!r}")
+    _need(spec, "family", "n", "k")
+    if mode in ("bdslice-sub", "saturated-rwise"):
+        _need(spec, "family", "r")
     n, k = spec["n"], spec["k"]
     if mode == "uniform":
         members = _keep(rng, enumerate_ksubsets(n, k), spec.get("density", 0.5))
@@ -139,7 +147,12 @@ def _dual_members(a_fam: SetFamily, l: int, t: int) -> list[int]:
 
 
 def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
+    _need(spec, "pair", "mode")
     mode = spec["mode"]
+    if mode in ("star-pair", "lem37"):
+        _need(spec, "pair", "n", "k")
+    elif mode in ("cross-dual", "cross-shifted"):
+        _need(spec, "pair", "base")
     if mode == "star-pair":
         n, k, t = spec["n"], spec["k"], spec.get("t", 1)
         star = full_star(n, k, t)
@@ -177,8 +190,10 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
 
 
 def gen_slices(rng: random.Random, spec: dict) -> tuple[SetFamily, ...]:
+    _need(spec, "slices", "mode")
     if spec["mode"] != "bd-sub":
         raise ValueError(f"unknown slices mode {spec['mode']!r}")
+    _need(spec, "slices", "n", "r")
     slices = brace_daykin(spec["n"], spec["r"])
     keep = spec.get("keep", 0.9)
     out = []
@@ -223,6 +238,9 @@ def _draw_params(rng: random.Random, draws: dict, n: int) -> dict:
 
 def make_instance(rng: random.Random, sid: str, inst_spec: dict) -> Instance:
     stmt = REGISTRY[sid]
+    _need(inst_spec, f"{sid} instance", *(() if stmt.kind == "numeric" else (stmt.kind,)))
+    # params first, so that an inexact param is named before a generator reads its namesake
+    params = parse_params(inst_spec.get("params", {}))
     if stmt.kind == "family":
         fams: tuple[SetFamily, ...] = (gen_family(rng, inst_spec["family"]),)
     elif stmt.kind == "pair":
@@ -231,7 +249,6 @@ def make_instance(rng: random.Random, sid: str, inst_spec: dict) -> Instance:
         fams = gen_slices(rng, inst_spec["slices"])
     else:
         fams = ()
-    params = {k: parse_param(v) for k, v in inst_spec.get("params", {}).items()}
     n = fams[0].n if fams else inst_spec.get("n", 8)
     params.update(_draw_params(rng, inst_spec.get("draw", {}), n))
     return Instance(fams, params)
@@ -283,6 +300,11 @@ def _space(space: str, grid: dict, params: dict):
     Each space is built once, when its count is exact.  Past the size caps the
     count is an upper bound and nothing is built unless the stream is consumed.
     """
+    for key in ("n", "k"):
+        if key not in grid:
+            raise ValueError(f"the {space} space needs grid dimension {key!r}")
+        if not isinstance(grid[key], int):
+            raise ValueError(f"grid dimension {key!r} must be an int, got {grid[key]!r}")
     n, k = grid["n"], grid["k"]
     l = grid.get("l", k)
     m = comb(n, k)
@@ -435,7 +457,11 @@ def sample_sweep(sid, inst_spec, count, seed, budget=None):
     """Deterministic seeded sampling sweep; identical seed gives identical result."""
     if sid not in REGISTRY:
         raise ValueError(f"unknown statement id {sid!r}")
-    budget = budget if budget is not None else default_budget()
+    if type(count) is not int or count < 1:
+        raise ValueError(f"count must be a positive int, got {count!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    budget = budget if budget is not None else DEFAULT_BUDGET
     if 2 * count > budget:
         raise BudgetError(f"{count} instances (~{2*count} evaluations) exceed budget {budget}")
     config = {
@@ -457,12 +483,10 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
     if sid not in REGISTRY:
         raise ValueError(f"unknown statement id {sid!r}")
     stmt = REGISTRY[sid]
-    budget = budget if budget is not None else default_budget()
+    budget = budget if budget is not None else DEFAULT_BUDGET
     grid = dict(grid)
-    space = grid.pop("space", None) or (
-        "grid" if stmt.kind == "numeric" else stmt.default_space
-    )
-    params = {k: parse_param(v) for k, v in grid.pop("params", {}).items()}
+    space = grid.pop("space", None) or stmt.default_space
+    params = parse_params(grid.pop("params", {}))
     config = {
         "id": sid,
         "mode": "exhaustive",
@@ -480,23 +504,21 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
         params.update(fixed)
         instances = _grid_instances(ranges, params)
     else:
-        if sid == "KRUSKAL_KATONA" and space == "families":
-            return _kk_exhaustive(grid["n"], grid["k"], params.get("l", 1), config, budget)
         count, exact, instances = _space(space, grid, params)
         est = 2 * count
         if est > budget:
             bound = "" if exact else " (an upper bound: the space is too large to count)"
             raise BudgetError(f"estimated {est} evaluations{bound} exceed budget {budget}")
+        if sid == "KRUSKAL_KATONA" and space == "families":
+            return _kk_exhaustive(grid["n"], grid["k"], params.get("l", 1), config)
     return _consume(sid, instances, config, budget)
 
 
-def _kk_exhaustive(n, k, l, config, budget):
+def _kk_exhaustive(n, k, l, config):
     """Bit-parallel sweep of all 2^C(n,k) families against the lex shadow minimum."""
     t0 = time.perf_counter()
     masks = enumerate_ksubsets(n, k)
     m_count = len(masks)
-    if 2 * 2**m_count > budget:
-        raise BudgetError(f"2^{m_count} families exceed budget {budget}")
     sub_index = {m: i for i, m in enumerate(enumerate_ksubsets(n, k - l))}
     shmasks = []
     for m in masks:
@@ -565,11 +587,6 @@ def run_recipe(recipe: dict, threads: int = 1, budget: int | None = None) -> dic
     if "params" in recipe:
         grid["params"] = recipe["params"]
     return exhaustive_sweep(sid, grid, budget=budget)
-
-
-def rerun_report(report: dict) -> dict:
-    """Re-run a report's embedded config; the result section must reproduce exactly."""
-    return run_recipe(report["config"])
 
 
 def load_suite(path) -> dict:

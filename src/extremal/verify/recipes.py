@@ -544,7 +544,7 @@ def suite_config() -> dict:
         entry.update(copy.deepcopy(RECIPES[sid]))
         entries.append(entry)
     entries.extend(copy.deepcopy(EXHAUSTIVE_EXTRAS))
-    return {"budget": 10**8, "entries": entries}
+    return {"entries": entries}
 
 
 def _override(node, overrides: dict) -> None:
@@ -565,15 +565,21 @@ def _has_key(node, key: str) -> bool:
 def recipe_for(sid: str, overrides: dict | None = None) -> dict:
     """A deep copy of the default recipe with scalar overrides applied everywhere.
 
-    Override keys that match no existing generator field become statement params.
+    `count` and `seed` set the recipe's own keys.  Other override keys replace
+    every generator field or statement param of that name; keys that match
+    none become statement params.
     """
     if sid not in RECIPES:
         raise ValueError(f"no default recipe for {sid!r}")
     recipe = copy.deepcopy(RECIPES[sid])
     recipe["id"] = sid
     if overrides:
+        overrides = dict(overrides)
+        for key in ("count", "seed"):
+            if key in overrides:
+                recipe[key] = overrides.pop(key)
         extras = {k: v for k, v in overrides.items() if not _has_key(recipe["instance"], k)}
-        _override(recipe["instance"], dict(overrides))
+        _override(recipe["instance"], overrides)
         for key, val in extras.items():
             recipe["instance"].setdefault("params", {})[key] = val
     return recipe

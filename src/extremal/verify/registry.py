@@ -47,22 +47,34 @@ from ..measures import (
     transversal_number,
 )
 from ..order import (
-    cross_shadow_dichotomy,
-    hilton_transfer,
     improved_shadow_applicable,
     katona_bound_holds,
     katona_sides,
     kk_min_shadow,
+    lex_cross_intersecting,
     shadow,
 )
 
 
-def parse_param(value):
-    """A "p/q" string as an exact Fraction; any other value unchanged."""
-    if isinstance(value, str) and "/" in value:
-        num, den = value.split("/")
-        return Fraction(int(num), int(den))
-    return value
+def _parse_param(key: str, value):
+    # type(...) is int, so that JSON true/false are no ints here
+    if type(value) is int or isinstance(value, Fraction):
+        return value
+    if isinstance(value, list) and all(type(v) is int for v in value):
+        return value
+    if isinstance(value, str) and value.count("/") == 1:
+        try:
+            return Fraction(*map(int, value.split("/")))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"parameter {key!r} must be an int, p/q or a list of ints, got {value!r}")
+
+
+def parse_params(raw) -> dict:
+    """Statement params from report form: ints, "p/q" strings as Fractions, and int lists."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"params must be an object, got {raw!r}")
+    return {key: _parse_param(key, value) for key, value in raw.items()}
 
 
 def param_repr(value):
@@ -99,7 +111,7 @@ def instance_from_witness(witness: dict) -> Instance:
     fams = tuple(
         SetFamily.from_sets(f["n"], f["k"], f["members"]) for f in witness["families"]
     )
-    return Instance(fams, {k: parse_param(v) for k, v in witness["params"].items()})
+    return Instance(fams, parse_params(witness["params"]))
 
 
 @dataclass(frozen=True)
@@ -780,7 +792,7 @@ _register(
     "pair",
     lambda i: _f(i).n >= _f(i).k + _g(i).k
     and _cross(i),
-    lambda i: hilton_transfer(_f(i), _g(i)),
+    lambda i: lex_cross_intersecting(_f(i).n, _f(i).k, _g(i).k, len(_f(i)), len(_g(i))),
     "lex segments of cross-intersecting sizes stay cross-intersecting",
     default_space="dual-pairs",
 )
@@ -833,8 +845,11 @@ _register(
     and 1 <= i.params["l2"] < _g(i).k
     and 1 <= i.params["t"] <= min(_f(i).k, _g(i).k)
     and _cross(i, i.params["t"]),
-    lambda i: cross_shadow_dichotomy(
-        _f(i), _g(i), i.params["t"], i.params["l1"], i.params["l2"]
+    lambda i: any(
+        lhs >= rhs
+        for lhs, rhs in map(
+            katona_sides, i.families, (i.params["t"],) * 2, (i.params["l1"], i.params["l2"])
+        )
     ),
     "for cross t-intersecting pairs one shadow inequality holds",
     default_space="dual-pairs",
@@ -928,11 +943,17 @@ def check_statement(sid: str, instance: Instance) -> StatementReport:
         raise ValueError(f"unknown statement id {sid!r}")
     stmt = REGISTRY[sid]
     t0 = time.perf_counter()
-    # a pair statement reads only two families on one ground set
-    if (stmt.kind == "pair" and not _pair_sizes_ok(instance)) or not stmt.hypothesis(instance):
-        return StatementReport(sid, "vacuous", time.perf_counter() - t0)
-    ok = stmt.conclusion(instance)
-    extras = stmt.extras(instance) if stmt.extras else {}
+    try:
+        # a pair statement reads only two families on one ground set
+        if (stmt.kind == "pair" and not _pair_sizes_ok(instance)) or not stmt.hypothesis(instance):
+            return StatementReport(sid, "vacuous", time.perf_counter() - t0)
+        ok = stmt.conclusion(instance)
+        extras = stmt.extras(instance) if stmt.extras else {}
+    except KeyError as exc:
+        key = exc.args[0] if exc.args else None
+        if not isinstance(key, str) or key in instance.params:
+            raise
+        raise ValueError(f"{sid} needs parameter {key!r}") from None
     if ok:
         return StatementReport(sid, "pass", time.perf_counter() - t0, extras=extras)
     return StatementReport(

@@ -15,6 +15,7 @@ from fractions import Fraction
 from ..core import SetFamily, enumerate_ksubsets
 from ..measures import matching_number
 from ..shifting import MatchingAtMost, NonTrivial, RhoAtMost, TIntersecting
+from .harness import DEFAULT_BUDGET
 
 
 @dataclass
@@ -40,9 +41,7 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
 
     Returns best-found with complete=False if the evaluation budget runs out.
     """
-    from .harness import default_budget
-
-    budget = budget if budget is not None else default_budget()
+    budget = budget if budget is not None else DEFAULT_BUDGET
     t_req = 0
     rho_cap: Fraction | None = None
     nu_cap: int | None = None

@@ -43,7 +43,7 @@ from extremal.verify import (
     check_identity_3_2,
     exhaustive_sweep,
     initial_families,
-    rerun_report,
+    run_recipe,
     run_suite,
     sample_sweep,
     search_max,
@@ -309,12 +309,12 @@ def test_criterion_11_reproducibility():
     for sid in ("EKR_1_1", "DICHOTOMY", "BD_5_1", "FACT_3_13"):
         recipe = entries[sid]
         rep = sample_sweep(sid, recipe["instance"], min(recipe["count"], 150), recipe["seed"])
-        again = rerun_report(rep)
+        again = run_recipe(rep["config"])
         blob = json.dumps(rep["result"], sort_keys=True)
         ok = ok and blob == json.dumps(again["result"], sort_keys=True)
     rep = exhaustive_sweep("KATONA", {"n": 5, "k": 2, "space": "families",
                                       "params": {"t": 1, "l": 1}})
-    again = rerun_report(rep)
+    again = run_recipe(rep["config"])
     ok = ok and json.dumps(rep["result"], sort_keys=True) == json.dumps(
         again["result"], sort_keys=True
     )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,15 @@ from extremal.cli import build_parser, main, parse_property_spec
 from extremal.core import read_family
 from extremal.measures import rho
 from extremal.shifting import CrossTIntersecting, RhoAtMost, TIntersecting
-from extremal.verify.recipes import suite_config
+from extremal.verify.recipes import RECIPES, suite_config
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# a well-formed sample suite entry; cases replace one field
+SAMPLE_ENTRY = {"id": "KATONA", "mode": "sample", "count": 2, "seed": 1,
+                "instance": RECIPES["KATONA"]["instance"]}
 
 
 def run_cli(args, cwd):
@@ -191,6 +197,16 @@ class TestVerifyCommand:
          "exhaustive recipe lacks grid"),
         ("--suite", [1], "holds no suite"),
         ("--suite", {"entries": [1]}, "holds no suite"),
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, instance={"family": {"mode": "uniform"}})]},
+         "family spec lacks 'n'"),
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, id="HILTON",
+                                      instance={"pair": {"mode": "cross-dual"}})]},
+         "pair spec lacks 'base'"),
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, id="BD_5_1",
+                                      instance={"slices": {"n": 8, "r": 3}})]},
+         "slices spec lacks 'mode'"),
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, instance={})]},
+         "KATONA instance spec lacks 'family'"),
     ])
     def test_malformed_recipe_exit_2(self, tmp_path, capsys, option, payload, message):
         path = tmp_path / "bad.json"
@@ -200,8 +216,44 @@ class TestVerifyCommand:
         assert len(err) == 1 and message in err[0]
 
     def test_invalid_invocation_exit_2(self):
-        assert main(["verify", "--id", "KATONA"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--id", "KATONA"])
+        assert exc.value.code == 2
         assert main(["verify", "--id", "NOPE", "--sample", "count=5"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--id", "KATONA", "--exhaustive", "n=5"], "needs grid dimension 'k'"),
+        (["--id", "KATONA", "--exhaustive", "n=5,k=2"], "KATONA needs parameter 'l'"),
+        (["--id", "FACT_3_13", "--exhaustive", "a=1"], "FACT_3_13 needs parameter 'A'"),
+    ])
+    def test_missing_parameter_exit_2(self, capsys, argv, message):
+        assert main(["verify", *argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+
+    @pytest.mark.parametrize("sample, code", [
+        ("count=-3", 2),
+        ("count=x", 2),
+        ("seed=x", 2),
+        ("t=x", 2),
+        ("eps=0.5", 2),
+        ("keep=0.3,count=20", 0),
+    ])
+    def test_sample_values_checked(self, capsys, sample, code):
+        assert main(["verify", "--id", "KATONA", "--sample", sample]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        if code == 2:
+            assert len(err) == 1 and sample.split("=")[0] in err[0]
+        else:
+            assert err == []
+
+    def test_sample_reproduces_suite_entry(self, tmp_path):
+        sample, suite = tmp_path / "sample.json", tmp_path / "suite.json"
+        assert main(["verify", "--id", "KATONA", "--sample", "--out", str(sample)]) == 0
+        assert main(["verify", "--suite", "--id", "KATONA", "--out", str(suite)]) == 0
+        reports = json.loads(suite.read_text(encoding="utf-8"))["reports"]
+        [from_suite] = [r["result"] for r in reports if r["config"]["mode"] == "sample"]
+        assert json.loads(sample.read_text(encoding="utf-8"))["result"] == from_suite
 
     def test_budget_refusal_exit_2(self):
         assert main(["--budget", "100", "verify", "--id", "KATONA",
@@ -292,13 +344,13 @@ class TestVerifyFailExit:
 
 class TestSearchCommand:
     def test_search_triangle(self, capsys):
-        rc = main(["search", "n=5", "k=2", "--prop", "intersecting&rho<=2/3"])
+        rc = main(["search", "--n", "5", "--k", "2", "--prop", "intersecting&rho<=2/3"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["max_size"] == 3 and out["complete"]
 
     def test_search_out_of_budget_exits_3(self, capsys):
-        rc = main(["--budget", "50", "search", "n=7", "k=3",
+        rc = main(["--budget", "50", "search", "--n", "7", "--k", "3",
                    "--prop", "intersecting&rho<=1/2"])
         assert rc == 3
         captured = capsys.readouterr()
@@ -308,40 +360,52 @@ class TestSearchCommand:
         assert "lower bound" in captured.err
 
     def test_search_budget_after_subcommand_exits_3(self, capsys):
-        rc = main(["search", "n=7", "k=3", "--prop", "intersecting&rho<=1/2",
+        rc = main(["search", "--n", "7", "--k", "3", "--prop", "intersecting&rho<=1/2",
                    "--budget", "50"])
         assert rc == 3
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert not out["complete"] and out["evaluations"] == 51
 
     def test_search_needs_dims(self):
-        assert main(["search", "--prop", "intersecting"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--prop", "intersecting"])
+        assert exc.value.code == 2
 
 
 class TestGlobalOptions:
     def test_before_subcommand_is_kept(self):
         args = build_parser().parse_args(
-            ["--budget", "50", "--seed", "4", "--format", "json",
-             "search", "n=5", "k=2", "--prop", "intersecting"]
+            ["--budget", "50", "--format", "json",
+             "search", "--n", "5", "--k", "2", "--prop", "intersecting"]
         )
-        assert (args.budget, args.seed, args.format) == (50, 4, "json")
+        assert (args.budget, args.format) == (50, "json")
 
     def test_after_subcommand_wins(self):
         args = build_parser().parse_args(
-            ["--budget", "50", "verify", "--id", "KATONA", "--budget", "70", "--seed", "9"]
+            ["--budget", "50", "verify", "--suite", "--id", "KATONA", "--budget", "70"]
         )
-        assert (args.budget, args.seed, args.format) == (70, 9, "text")
+        assert (args.budget, args.format) == (70, "text")
 
     def test_defaults_without_either(self):
         args = build_parser().parse_args(["measure", "f.txt"])
-        assert (args.budget, args.seed, args.format) == (None, 1, "text")
-        assert not hasattr(args, "threads")
+        assert (args.budget, args.format) == (None, "text")
+        assert not hasattr(args, "threads") and not hasattr(args, "seed")
 
     @pytest.mark.parametrize("argv", [
         ["--threads", "2", "verify", "--id", "KATONA", "--exhaustive", "n=4,k=2,t=1,l=1"],
         ["verify", "--id", "KATONA", "--exhaustive", "n=4,k=2,t=1,l=1", "--threads", "2"],
     ])
     def test_threads_option_is_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "3", "measure", "f.txt"],
+        ["search", "n=5", "k=2", "--prop", "intersecting"],
+        ["verify", "--suite", "--rerun", "r.json"],
+    ])
+    def test_removed_spellings_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -357,3 +421,21 @@ class TestSubprocessEntry:
         proc = run_cli(["verify", "--suite", "--id", "KATONA"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("id=KATONA ") == 2
+
+
+def quick_start_lines() -> list[str]:
+    """The `extremal ...` lines of the README's CLI quick start, in order."""
+    section = README.read_text(encoding="utf-8").split("## Quick start (CLI)", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("extremal ")]
+
+
+def test_readme_quick_start(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = quick_start_lines()
+    assert len(lines) == 10
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if argv == ["verify", "--suite"]:
+            argv += ["--id", "KATONA"]  # criterion 9 runs the whole suite
+        assert main(argv) == 0, line

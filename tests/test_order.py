@@ -139,9 +139,9 @@ class TestHilton:
         assert hilton_transfer(SetFamily(4, 2, []), SetFamily(4, 2, []))
 
     def test_lex_cache_is_bounded(self):
-        from extremal.order import _lex_cross_intersecting
+        from extremal.order import lex_cross_intersecting
 
-        maxsize = _lex_cross_intersecting.cache_info().maxsize
+        maxsize = lex_cross_intersecting.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
     def test_precondition(self):

@@ -26,7 +26,6 @@ from extremal.verify import (
     instance_from_witness,
     make_instance,
     recheck_witness,
-    rerun_report,
     run_recipe,
     sample_sweep,
     search_max,
@@ -143,13 +142,13 @@ class TestSweeps:
     def test_rerun_report(self):
         recipe = RECIPES["KATONA"]
         rep = sample_sweep("KATONA", recipe["instance"], 150, 7)
-        again = rerun_report(rep)
+        again = run_recipe(rep["config"])
         assert json.dumps(rep["result"], sort_keys=True) == json.dumps(again["result"], sort_keys=True)
 
     def test_exhaustive_rerun(self):
         rep = exhaustive_sweep("KATONA", {"n": 5, "k": 2, "space": "families",
                                           "params": {"t": 1, "l": 1}})
-        again = rerun_report(rep)
+        again = run_recipe(rep["config"])
         assert json.dumps(rep["result"], sort_keys=True) == json.dumps(again["result"], sort_keys=True)
 
     def test_budget_refusal(self):
@@ -263,13 +262,26 @@ class TestRegistryHygiene:
         mixed = Instance((fam(6, 3, (1, 2, 3)), fam(7, 3, (1, 2, 3))), params)
         assert check_statement(sid, mixed).verdict == "vacuous"
 
-    def test_budget_env_override(self, monkeypatch):
-        from extremal.verify import default_budget
+    @pytest.mark.parametrize("sid, params", [
+        ("HILTON", {}),
+        ("CROSS_SHADOW", {"t": 1, "l1": 1, "l2": 1}),
+    ])
+    def test_cross_check_runs_once(self, monkeypatch, sid, params):
+        # the hypothesis establishes cross-intersection; the conclusion must not redo it
+        import extremal.order
+        import extremal.verify.registry
 
-        monkeypatch.setenv("EXTREMAL_BUDGET", "12345")
-        assert default_budget() == 12345
-        monkeypatch.delenv("EXTREMAL_BUDGET")
-        assert default_budget() == 10**8
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return is_cross_t_intersecting(*args)
+
+        for module in (extremal.order, extremal.verify.registry):
+            monkeypatch.setattr(module, "is_cross_t_intersecting", counting)
+        pair = (fam(6, 3, (1, 2, 3), (1, 2, 4)), fam(6, 3, (1, 2, 5), (1, 3, 4)))
+        assert check_statement(sid, Instance(pair, params)).verdict == "pass"
+        assert len(calls) == 1
 
     def test_sampler_type_determinism(self):
         from extremal.verify.harness import _rng_for
@@ -314,7 +326,7 @@ class TestFailPlumbing:
         again = recheck_witness(res["witnesses"][0])
         assert again.verdict == "FAIL"
         # deterministic halt point: rerun reproduces the identical result
-        rerun = rerun_report(rep)
+        rerun = run_recipe(rep["config"])
         assert json.dumps(res, sort_keys=True) == json.dumps(rerun["result"], sort_keys=True)
         # two evaluations per instance consumed, the halting FAIL included
         assert res["budget_used"] == 2 * sum(res["totals"].values())
