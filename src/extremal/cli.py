@@ -256,6 +256,7 @@ def _single_recipe(args) -> dict:
 
 def cmd_verify(args) -> int:
     budget = args.budget
+    only = set(args.id.split(",")) if args.id else None
     originals = []
     try:
         if args.rerun:
@@ -265,13 +266,17 @@ def cmd_verify(args) -> int:
                 isinstance(rep, dict) and isinstance(rep.get("config"), dict) for rep in found
             ):
                 raise ValueError(f"{args.rerun} holds neither a report nor a suite bundle")
+            if only:
+                missing = sorted(only - {rep["config"].get("id") for rep in found})
+                if missing:
+                    raise ValueError(f"{args.rerun} has no report for id {', '.join(missing)}")
+                found = [rep for rep in found if rep["config"].get("id") in only]
             reports = [run_recipe(rep["config"], budget=budget) for rep in found]
             originals = [rep.get("result") for rep in found]
         elif args.suite is not None:
             config = load_suite(args.suite) if args.suite else suite_config()
             if budget is not None:
                 config["budget"] = budget
-            only = set(args.id.split(",")) if args.id else None
             reports = run_suite(config, only=only)
         else:
             reports = [run_recipe(_single_recipe(args), budget=budget)]
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_shadow)
 
     p = add_command("verify", help="run statement sweeps")
-    p.add_argument("--id", help="statement id (or comma list with --suite)")
+    p.add_argument("--id", help="statement id (or comma list with --suite and --rerun)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", help="grid, e.g. n=5,k=2,t=1[,space=initial]")
     mode.add_argument("--sample", nargs="?", const="",

@@ -4,6 +4,15 @@ The (i,j)-shift replaces j by i in every member where the replacement is not
 already present.  A tuple of families is shifted "ad extremis" with respect
 to a property when no simultaneous (i,j)-shift both changes some slot and
 preserves the property.
+
+Every (i,j)-shift keeps t-intersection, cross t-intersection and matching
+number at most s (Frankl, "The shifting technique in extremal set theory",
+1987), so `shift_ad_extremis` never rechecks `TIntersecting`,
+`CrossTIntersecting` or `MatchingAtMost`.  A shift raises deg(i), lowers
+deg(j) by the same amount and leaves every other degree alone, so
+`RhoAtMost` and `NonTrivial` (no element of degree |F|, i.e. an empty common
+mask) are rechecked on deg(i) alone.  Those five atoms are the only ones the
+engine accepts.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from typing import Sequence
 
 from .core import SetFamily
 from .measures import (
+    degree_vector,
     is_cross_t_intersecting,
     is_nontrivial,
     is_t_intersecting,
@@ -172,6 +182,26 @@ def shift_resistant_pairs(families: Sequence[SetFamily], prop) -> list[tuple[int
     return out
 
 
+def _degree_caps(fams: tuple[SetFamily, ...], prop) -> list[int]:
+    """Per slot, the largest degree an effective shift may leave and keep `prop`.
+
+    A shift never raises a degree above |F|, so |F| is no limit.  `RhoAtMost(c)`
+    allows floor(c*|F|); `NonTrivial` allows |F| - 1, as an element of degree
+    |F| is a common element.  The shift-kept atoms allow |F|.
+    """
+    caps = [len(f) for f in fams]
+    for atom in prop.atoms():
+        if isinstance(atom, RhoAtMost):
+            c = Fraction(atom.c)
+            size = len(fams[atom.slot])
+            caps[atom.slot] = min(caps[atom.slot], c.numerator * size // c.denominator)
+        elif isinstance(atom, NonTrivial):
+            caps[atom.slot] = min(caps[atom.slot], len(fams[atom.slot]) - 1)
+        elif not isinstance(atom, (TIntersecting, CrossTIntersecting, MatchingAtMost)):
+            raise TypeError(f"shift_ad_extremis has no shift rule for {type(atom).__name__}")
+    return caps
+
+
 def shift_ad_extremis(
     families: Sequence[SetFamily], prop, upto: int | None = None
 ) -> tuple[tuple[SetFamily, ...], ShiftTrace]:
@@ -183,6 +213,12 @@ def shift_ad_extremis(
     applied step.  The output satisfies the property, and every such pair either
     fixes all slots or would break the property.  The pairs blocked in the final
     pass, which applies no shift, are the trace's resistant pairs.
+
+    Each slot is kept as a member set, a degree vector and a running weight;
+    a step moves only the members that have j, lack i and whose image is
+    absent, and the property is rechecked on deg(i) of the moved slots (see
+    the module docstring).  An atom other than the five defined here raises
+    `TypeError`.
     """
     fams = tuple(families)
     if not fams:
@@ -194,29 +230,43 @@ def shift_ad_extremis(
         upto = n
     elif upto > n:
         raise ValueError(f"upto={upto} exceeds n={n}")
+    caps = _degree_caps(fams, prop)
     if not prop.holds(fams):
         raise ValueError("property does not hold on the input tuple")
 
+    members = [set(f.members) for f in fams]
+    degrees = [degree_vector(f) for f in fams]
+    weights = [weight(f) for f in fams]
     trace = ShiftTrace()
     changed = True
     while changed:
         changed = False
         blocked = {}  # (i,j) -> moved per slot, for this pass
         for i, j in _pairs(upto):
-            shifted = tuple(shift(f, i, j) for f in fams)
-            if all(s == f for s, f in zip(shifted, fams)):
+            bj = 1 << (j - 1)
+            both = (1 << (i - 1)) | bj
+            moved = [[m for m in ms if m & both == bj and m ^ both not in ms] for ms in members]
+            if not any(moved):
                 continue
-            if prop.holds(shifted):
+            # every degree is within its cap already; only deg(i) rises
+            if all(d[i - 1] + len(mv) <= cap for d, mv, cap in zip(degrees, moved, caps)):
                 if len(trace.steps) < STEP_CAP:
-                    trace.steps.append(((i, j), tuple(weight(f) for f in fams)))
+                    trace.steps.append(((i, j), tuple(weights)))
                 else:
                     trace.steps_truncated += 1
-                fams = shifted
+                for slot, mv in enumerate(moved):
+                    if mv:
+                        members[slot].difference_update(mv)
+                        members[slot].update(m ^ both for m in mv)
+                        degrees[slot][i - 1] += len(mv)
+                        degrees[slot][j - 1] -= len(mv)
+                        weights[slot] -= (j - i) * len(mv)
                 changed = True
             else:
-                blocked[(i, j)] = tuple(s != f for s, f in zip(shifted, fams))
+                blocked[(i, j)] = tuple(bool(mv) for mv in moved)
 
-    trace.final_weights = tuple(weight(f) for f in fams)
+    out = tuple(SetFamily(f.n, f.k, sorted(ms), _trusted=True) for f, ms in zip(fams, members))
+    trace.final_weights = tuple(weights)
     trace.resistant_pairs = list(blocked)
     trace.resistant_blame = blocked
-    return fams, trace
+    return out, trace

@@ -237,6 +237,8 @@ class TestVerifyCommand:
         ("seed=x", 2),
         ("t=x", 2),
         ("eps=0.5", 2),
+        ("keep=x,count=5", 2),
+        ("n=7.5,count=5", 2),
         ("keep=0.3,count=20", 0),
     ])
     def test_sample_values_checked(self, capsys, sample, code):
@@ -307,6 +309,25 @@ class TestVerifyCommand:
             for p in (from_file, shipped)
         ]
         assert len(results[0]) == 4 and results[0] == results[1]
+
+    def test_rerun_selects_by_id(self, tmp_path, capsys):
+        reports = []
+        for sid in ("PROP_1_3", "KRUSKAL_KATONA"):
+            path = tmp_path / f"{sid}.json"
+            assert main(["verify", "--id", sid, "--sample", "count=20,seed=3",
+                         "--out", str(path)]) == 0
+            reports.append(json.loads(path.read_text(encoding="utf-8")))
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({"reports": reports}), encoding="utf-8")
+        again = tmp_path / "again.json"
+        assert main(["verify", "--rerun", str(bundle), "--id", "KRUSKAL_KATONA",
+                     "--out", str(again)]) == 0
+        rerun = json.loads(again.read_text(encoding="utf-8"))
+        assert rerun["result"] == reports[1]["result"]
+        capsys.readouterr()
+        assert main(["verify", "--rerun", str(bundle), "--id", "NOPE,PROP_1_3,ZZZ"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {bundle} has no report for id NOPE, ZZZ"]
 
     @pytest.mark.parametrize("payload", [
         {"run_config": {}}, {"reports": [{"result": {}}]}, [1], {"config": 5},

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from extremal import shifting
+from extremal.cli import parse_property_spec
 from extremal.core import SetFamily, enumerate_ksubsets, is_initial
 from extremal.measures import (
     is_cross_t_intersecting,
@@ -19,6 +21,7 @@ from extremal.shifting import (
     CrossTIntersecting,
     MatchingAtMost,
     NonTrivial,
+    PropertyAtom,
     RhoAtMost,
     TIntersecting,
     shift,
@@ -389,3 +392,135 @@ class TestSingleLoopOracle:
     def test_upto_above_n_raises(self):
         with pytest.raises(ValueError, match="exceeds"):
             shift_ad_extremis((fam(4, 2, (2, 3)),), ALWAYS, upto=5)
+
+
+# ---------------------------------------------------------------------------
+# The incremental engine against the loop it replaced, which rebuilt every
+# slot, its weight and the whole guard for every pair.
+# ---------------------------------------------------------------------------
+
+
+def reference_ad_extremis(families, prop, upto=None):
+    fams = tuple(families)
+    n = fams[0].n
+    if upto is None:
+        upto = n
+    trace = shifting.ShiftTrace()
+    changed = True
+    while changed:
+        changed = False
+        blocked = {}
+        for i in range(1, upto):
+            for j in range(i + 1, upto + 1):
+                shifted = tuple(shift(f, i, j) for f in fams)
+                if all(s == f for s, f in zip(shifted, fams)):
+                    continue
+                if prop.holds(shifted):
+                    trace.steps.append(((i, j), tuple(weight(f) for f in fams)))
+                    fams = shifted
+                    changed = True
+                else:
+                    blocked[(i, j)] = tuple(s != f for s, f in zip(shifted, fams))
+    trace.final_weights = tuple(weight(f) for f in fams)
+    trace.resistant_pairs = list(blocked)
+    trace.resistant_blame = blocked
+    return fams, trace
+
+
+def assert_same_as_reference(fams, prop, upto=None):
+    out, trace = shift_ad_extremis(fams, prop, upto=upto)
+    want_out, want_trace = reference_ad_extremis(fams, prop, upto=upto)
+    assert out == want_out
+    assert trace.to_json() == want_trace.to_json()
+    return trace
+
+
+SHIPPED_ATOMS = {TIntersecting, CrossTIntersecting, RhoAtMost, MatchingAtMost, NonTrivial}
+
+
+class TestIncrementalEngine:
+    def test_every_family_5_2_every_upto(self):
+        masks = enumerate_ksubsets(5, 2)
+        specs = (
+            "none",
+            "rho<=1/2",
+            "nu<=1",
+            "nontrivial",
+            "intersecting&rho<=1/2",
+            "intersecting&rho<=2/3",
+            "t-intersecting(2)",
+        )
+        runs = dict.fromkeys(specs, 0)
+        steps = blocked = 0
+        for bits in range(1 << len(masks)):
+            f = SetFamily(5, 2, [masks[i] for i in range(len(masks)) if bits >> i & 1])
+            for spec in specs:
+                prop = parse_property_spec(spec)
+                if not prop.holds((f,)):
+                    continue
+                runs[spec] += 1
+                for upto in range(6):
+                    trace = assert_same_as_reference((f,), prop, upto)
+                    steps += bool(trace.steps)
+                    blocked += bool(trace.resistant_pairs)
+        # intersecting 2-sets form a star or a triangle (rho 2/3); 2-intersecting
+        # ones have at most one member
+        assert runs == {
+            "none": 1 << 10,
+            "rho<=1/2": 334,
+            "nu<=1": 76,
+            "nontrivial": 958,
+            "intersecting&rho<=1/2": 1,
+            "intersecting&rho<=2/3": 11,
+            "t-intersecting(2)": 11,
+        }
+        assert steps > 1000 and blocked > 500
+
+    @pytest.mark.parametrize("n, k, seed", [(6, 3, 15), (7, 3, 16)])
+    def test_cross_pairs_rho_both_slots(self, n, k, seed):
+        rng = random.Random(seed)
+        masks = enumerate_ksubsets(n, k)
+        prop = parse_property_spec("cross(0,1)&rho<=2/3", slots=2)
+        ran = blocked = 0
+        while ran < 40:
+            a = SetFamily(n, k, [m for m in masks if rng.random() < 0.25])
+            dual = [c for c in masks if all(c & m for m in a.members)]
+            b = SetFamily(n, k, [c for c in dual if rng.random() < 0.5])
+            if not (a.members and b.members and prop.holds((a, b))):
+                continue
+            for upto in (None, 3, n - 1):
+                trace = assert_same_as_reference((a, b), prop, upto)
+            blocked += bool(trace.resistant_pairs)
+            ran += 1
+        assert blocked > 5
+
+    def test_atom_without_shift_rule_raises(self):
+        class Anything(PropertyAtom):
+            def holds(self, families):
+                return True
+
+        f = fam(4, 2, (2, 3))
+        for prop in (Anything(), And((Anything(),)), And((RhoAtMost(0, Fraction(1)), Anything()))):
+            with pytest.raises(TypeError, match="Anything"):
+                shift_ad_extremis((f,), prop)
+
+    def test_every_shipped_atom_accepted(self):
+        shipped = {
+            cls
+            for cls in vars(shifting).values()
+            if isinstance(cls, type) and issubclass(cls, PropertyAtom)
+        }
+        assert shipped - {PropertyAtom, And} == SHIPPED_ATOMS
+        tri = fam(6, 3, (1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6), (2, 3, 4))
+        atoms = (
+            TIntersecting(0, 1),
+            CrossTIntersecting(0, 1, 1),
+            RhoAtMost(1, Fraction(3, 5)),
+            MatchingAtMost(0, 1),
+            NonTrivial(1),
+        )
+        assert {type(a) for a in atoms} == SHIPPED_ATOMS
+        for prop in (*atoms, And(atoms)):
+            out, trace = shift_ad_extremis((tri, tri), prop)
+            assert shift_resistant_pairs(out, prop) == trace.resistant_pairs
+            assert_same_as_reference((tri, tri), prop)
