@@ -9,6 +9,7 @@ and uniformity k.  All operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -135,14 +136,18 @@ def family_union(a: SetFamily, b: SetFamily) -> SetFamily:
     return SetFamily(a.n, a.k, set(a.members) | set(b.members))
 
 
-def enumerate_ksubsets(n: int, k: int) -> list[int]:
-    """All k-subsets of [n] as masks in ascending numeric (canonical) order."""
+@cache
+def enumerate_ksubsets(n: int, k: int) -> tuple[int, ...]:
+    """All k-subsets of [n] as masks in ascending numeric (canonical) order.
+
+    Built once per (n, k) on first use and shared afterwards, hence a tuple.
+    """
     if n > MAX_GROUND:
         raise CapacityError(f"ground set size {n} exceeds {MAX_GROUND}")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, n={n}]")
     if k == 0:
-        return [0]
+        return (0,)
     # Gosper's hack walks fixed-popcount masks in increasing numeric order.
     out = []
     v = (1 << k) - 1
@@ -152,7 +157,7 @@ def enumerate_ksubsets(n: int, k: int) -> list[int]:
         u = v & -v
         w = v + u
         v = w | (((v ^ w) >> 2) // u)
-    return out
+    return tuple(out)
 
 
 def full_family(n: int, k: int) -> SetFamily:

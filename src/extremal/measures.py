@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import SetFamily, enumerate_ksubsets, prefix_mask
 
@@ -107,28 +107,53 @@ def is_cross_t_intersecting(fam: SetFamily, other: SetFamily, t: int) -> bool:
     return True
 
 
-def _min_intersection_over(members: Sequence[int], j: int, stop_below: int | None = None) -> int:
-    """Minimum |F_1 ∩ ... ∩ F_j| over j-subsets of distinct members.
+def _new_intersections(members: Sequence[int], j: int) -> Iterator[tuple[int, int]]:
+    """Yield (i, mask) once for each distinct intersection of at most j members.
 
-    Grown as a set of intersection masks; repeats only ever produce
-    supersets of honest j-subset intersections, so the minimum is exact.
+    i is the first level that holds the mask: level 1 is the set of distinct
+    members, and level i is the set of intersections of at most i of them.
+    Semi-naive: level i+1 intersects only the masks new at level i with the
+    members, since every other product is already at level i.  Stops early
+    once a level adds nothing.
+    """
+    base = tuple(set(members))
+    seen = set(base)
+    for m in base:
+        yield 1, m
+    frontier = base
+    for i in range(2, j + 1):
+        nxt = []
+        for s in frontier:
+            for m in base:
+                x = s & m
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+                    yield i, x
+        if not nxt:
+            return
+        frontier = nxt
+
+
+def _min_intersection_over(members: Sequence[int], j: int, stop_below: int | None = None) -> int:
+    """Minimum |F_1 ∩ ... ∩ F_j| over j members, repetition allowed.
+
+    That is the minimum over the level I_j of `_new_intersections`, which
+    builds the levels semi-naively: each level intersects only the masks new
+    at the previous level with the members.  With
+    `stop_below` set, returns the size of the first intersection found below
+    it: the result is below `stop_below` exactly when the minimum is, and
+    equals the minimum otherwise.
     """
     if not members:
         raise ValueError("empty member list")
-    j = min(j, len(members))
-    cur = set(members)
-    best = min(m.bit_count() for m in cur)
-    if stop_below is not None and best < stop_below:
-        return best
-    for _ in range(j - 1):
-        nxt = set()
-        for s in cur:
-            for m in members:
-                nxt.add(s & m)
-        cur = nxt
-        best = min(m.bit_count() for m in cur)
-        if stop_below is not None and best < stop_below:
-            return best
+    best = None
+    for _, m in _new_intersections(members, j):
+        size = m.bit_count()
+        if best is None or size < best:
+            best = size
+            if stop_below is not None and size < stop_below:
+                return size
     return best
 
 
@@ -263,48 +288,136 @@ def transversal_number(fam: SetFamily, t: int) -> int:
     return best
 
 
-def addable_t_intersecting(t: int):
-    """Addability test: a k-set can join when it meets every member in >= t points."""
+class _ClosureTester:
+    """Addability of k-sets to a growing family under an r-wise t rule.
 
-    def addable(members: set, cand: int) -> bool:
-        return all((cand & m).bit_count() >= t for m in members)
+    Keeps the levels I_1 ⊆ ... ⊆ I_{r-1} of the family, built by
+    `_new_intersections`.  A k-set c may join iff |c| >= t and
+    |c ∩ S| >= t for every S in I_{r-1}; with `whole_family`, nothing may
+    join unless the family itself is r-wise t-intersecting, which holds iff
+    each member would pass the same test.  `add(c)` updates the levels from
+    the top down: level i gains c and c ∩ S for each S in the old level i-1.
+    """
 
-    return addable
+    def __init__(self, members: Sequence[int], r: int, t: int, whole_family: bool):
+        self.t = t
+        self.levels = [set() for _ in range(r - 1)]
+        for i, m in _new_intersections(members, r - 1):
+            self.levels[i - 1].add(m)
+        for i in range(1, r - 1):
+            self.levels[i] |= self.levels[i - 1]
+        self.open = True
+        if whole_family:
+            self.open = all(self.admits(m) for m in members)
+
+    def admits(self, cand: int) -> bool:
+        t = self.t
+        return (
+            self.open
+            and cand.bit_count() >= t
+            and all((cand & s).bit_count() >= t for s in self.levels[-1])
+        )
+
+    def add(self, cand: int) -> None:
+        levels = self.levels
+        for i in range(len(levels) - 1, 0, -1):
+            levels[i].update([cand & s for s in levels[i - 1]])
+            levels[i].add(cand)
+        levels[0].add(cand)
 
 
-def addable_r_wise(r: int):
-    """Addability test: a k-set can join when the family stays r-wise intersecting."""
+@dataclass(frozen=True)
+class _ClosureRule:
+    r: int
+    t: int
+    whole_family: bool
 
-    def addable(members: set, cand: int) -> bool:
-        return is_r_wise_t_intersecting_masks((*members, cand), r, 1)
+    def start(self, members: Sequence[int]) -> _ClosureTester:
+        return _ClosureTester(members, self.r, self.t, self.whole_family)
 
-    return addable
+
+def addable_t_intersecting(t: int) -> _ClosureRule:
+    """Addability rule: a k-set can join when |c| >= t and it meets every member in >= t points.
+
+    Member-wise: the family itself is not checked.
+    """
+    return _ClosureRule(2, t, whole_family=False)
+
+
+def addable_r_wise(r: int) -> _ClosureRule:
+    """Addability rule: a k-set can join when the family stays r-wise intersecting.
+
+    Whole-family: if the family itself is not r-wise intersecting, nothing can join.
+    """
+    if r < 2:
+        raise ValueError(f"r must be at least 2, got {r}")
+    return _ClosureRule(r, 1, whole_family=True)
 
 
 def is_saturated(fam: SetFamily, addable) -> bool:
-    """Nonempty, and no k-set outside the family passes the addability test."""
+    """Nonempty, and no k-set outside the family passes the addability test.
+
+    `addable` is a rule with `start(members)`, which returns a tester for
+    this family; the tester's `admits(c)` says whether the k-set c can join.
+    The tester is started once, so the r-wise rules build the intersection
+    levels I_1 ⊆ ... ⊆ I_{r-1} of the family once for all candidates.
+    """
     if not fam.members:
         return False
+    tester = addable.start(fam.members)
     have = set(fam.members)
     return not any(
-        cand not in have and addable(have, cand) for cand in enumerate_ksubsets(fam.n, fam.k)
+        cand not in have and tester.admits(cand) for cand in enumerate_ksubsets(fam.n, fam.k)
     )
 
 
 def grow(fam: SetFamily, addable, candidates: Sequence[int]) -> SetFamily:
     """Add candidates, in the given order, that pass the addability test, until none does.
 
-    Repeated passes handle non-hereditary tests; the result is maximal.
+    Starts one tester for the family (`addable.start(members)`), asks it
+    `admits(c)` for each candidate outside the family, and tells it `add(c)`
+    for each one that joins, so the tester keeps its state across the whole
+    growth.  The r-wise rules keep the levels I_1 ⊆ ... ⊆ I_{r-1}; `add(c)`
+    updates them from the top level down, level i gaining c and c ∩ S for
+    each S in the old level i-1.  Repeated passes handle non-hereditary
+    tests; the result is maximal.
     """
+    tester = addable.start(fam.members)
     members = set(fam.members)
     changed = True
     while changed:
         changed = False
         for cand in candidates:
-            if cand not in members and addable(members, cand):
+            if cand not in members and tester.admits(cand):
+                tester.add(cand)
                 members.add(cand)
                 changed = True
     return SetFamily(fam.n, fam.k, sorted(members), _trusted=True)
+
+
+class _PropertyTester:
+    """Addability by checking a property on the family with the candidate added."""
+
+    def __init__(self, n: int, k: int, prop, members: Sequence[int]):
+        self.n, self.k, self.prop = n, k, prop
+        self.members = set(members)
+
+    def admits(self, cand: int) -> bool:
+        trial = SetFamily(self.n, self.k, sorted(self.members | {cand}), _trusted=True)
+        return self.prop.holds((trial,))
+
+    def add(self, cand: int) -> None:
+        self.members.add(cand)
+
+
+@dataclass(frozen=True)
+class _PropertyRule:
+    n: int
+    k: int
+    prop: object
+
+    def start(self, members: Sequence[int]) -> _PropertyTester:
+        return _PropertyTester(self.n, self.k, self.prop, members)
 
 
 def saturate(fam: SetFamily, prop) -> SetFamily:
@@ -314,12 +427,7 @@ def saturate(fam: SetFamily, prop) -> SetFamily:
     """
     if not prop.holds((fam,)):
         raise ValueError("property does not hold on the input family")
-
-    def addable(members: set, cand: int) -> bool:
-        trial = SetFamily(fam.n, fam.k, sorted(members | {cand}), _trusted=True)
-        return prop.holds((trial,))
-
-    return grow(fam, addable, enumerate_ksubsets(fam.n, fam.k))
+    return grow(fam, _PropertyRule(fam.n, fam.k, prop), enumerate_ksubsets(fam.n, fam.k))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Core bitmask families: enumeration, restrictions, orders, file format."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +40,7 @@ class TestEnumerate:
         assert [elems_of(m) for m in enumerate_ksubsets(3, 2)] == [(1, 2), (1, 3), (2, 3)]
 
     def test_empty_set_only(self):
-        assert enumerate_ksubsets(4, 0) == [0]
+        assert enumerate_ksubsets(4, 0) == (0,)
 
     def test_count_six_choose_three(self):
         # oracle: direct binomial
@@ -45,11 +49,36 @@ class TestEnumerate:
 
     def test_ascending_canonical_order(self):
         masks = enumerate_ksubsets(7, 3)
-        assert masks == sorted(masks)
+        assert list(masks) == sorted(masks)
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            enumerate_ksubsets(64, 2)
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                enumerate_ksubsets(64, 2)
+
+    def test_k_range_error(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                enumerate_ksubsets(5, 6)
+            with pytest.raises(ValueError):
+                enumerate_ksubsets(5, -1)
+
+    def test_built_once_per_n_k(self):
+        masks = enumerate_ksubsets(6, 3)
+        assert isinstance(masks, tuple)
+        assert enumerate_ksubsets(6, 3) is masks
+
+    def test_nothing_built_at_import(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import extremal, extremal.cli, extremal.verify.recipes;"
+            "print(extremal.core.enumerate_ksubsets.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestRestrictions:

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from extremal.core import SetFamily, enumerate_ksubsets, mask_of
 from extremal.constructions import fano, frankl_family, full_star, projective_plane
 from extremal.measures import (
+    _min_intersection_over,
     addable_r_wise,
     addable_t_intersecting,
     degree,
@@ -301,13 +302,13 @@ class TestSaturate:
 
 
 def oracle_rwise_nonuniform(members, r, t):
-    from extremal.measures import _min_intersection_over
-
-    if not members:
-        return True
-    if any(m.bit_count() < t for m in members):
-        return False
-    return _min_intersection_over(members, r, stop_below=t) >= t
+    for combo in combinations_with_replacement(sorted(set(members)), r):
+        inter = combo[0]
+        for m in combo[1:]:
+            inter &= m
+        if inter.bit_count() < t:
+            return False
+    return True
 
 
 def oracle_nontrivial_nonuniform(members, n):
@@ -443,3 +444,157 @@ class TestProfile:
                 continue
             prof = measure_profile(f)
             assert all(v >= t for t, v in prof.tau.items())
+
+
+# The addability callables, the grow loop and the saturation check as they
+# were before the rules kept their intersection levels across calls; kept as
+# oracles.  The t-intersecting rule counts the candidate among the members,
+# since a t-intersecting family meets itself in >= t points.
+
+
+def reference_min_intersection_over(members, j):
+    j = min(j, len(members))
+    cur = set(members)
+    for _ in range(j - 1):
+        cur = {s & m for s in cur for m in members}
+    return min(m.bit_count() for m in cur)
+
+
+def reference_addable_t(t):
+    return lambda members, cand: all((cand & m).bit_count() >= t for m in (*members, cand))
+
+
+def reference_addable_r_wise(r):
+    return lambda members, cand: reference_min_intersection_over((*members, cand), r) >= 1
+
+
+def reference_grow(f, ok_add, cands):
+    members = set(f.members)
+    changed = True
+    while changed:
+        changed = False
+        for cand in cands:
+            if cand not in members and ok_add(members, cand):
+                members.add(cand)
+                changed = True
+    return SetFamily(f.n, f.k, sorted(members), _trusted=True)
+
+
+def reference_is_saturated(f, ok_add):
+    have = set(f.members)
+    return bool(have) and not any(
+        cand not in have and ok_add(have, cand) for cand in enumerate_ksubsets(f.n, f.k)
+    )
+
+
+def _and_all(masks):
+    out = masks[0]
+    for m in masks[1:]:
+        out &= m
+    return out
+
+
+def reference_levels(members, j):
+    members = sorted(set(members))
+    return [
+        {_and_all(combo) for size in range(1, i + 1) for combo in combinations(members, size)}
+        for i in range(1, j + 1)
+    ]
+
+
+RULES = [("r-wise", r, addable_r_wise(r), reference_addable_r_wise(r)) for r in (2, 3, 4)] + [
+    ("t", t, addable_t_intersecting(t), reference_addable_t(t)) for t in (1, 2, 3)
+]
+
+
+def seeded_families(rng, n, k, count):
+    """Random, small, star-based and grown-then-thinned families, intersecting or not."""
+    masks = enumerate_ksubsets(n, k)
+    star = full_star(n, k, 1).members
+    out = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            members = [m for m in masks if rng.random() < 0.3]
+        elif kind == 1:
+            members = rng.sample(masks, rng.randint(1, 4))
+        elif kind == 2:
+            members = [m for m in star if rng.random() < 0.5]
+        else:
+            rule = RULES[rng.randrange(len(RULES))][2]
+            seed = SetFamily(n, k, rng.sample(star, 2), _trusted=True)
+            cands = list(masks)
+            rng.shuffle(cands)
+            members = [m for m in grow(seed, rule, cands).members if rng.random() < 0.8]
+        out.append(SetFamily(n, k, sorted(set(members)), _trusted=True))
+    return out
+
+
+class TestIntersectionClosure:
+    def test_min_intersection_over_all_families_5_2(self):
+        for f in all_families(5, 2):
+            if not f.members:
+                continue
+            for j in range(2, 6):
+                want = oracle_t_level(f, j)
+                assert _min_intersection_over(f.members, j) == want
+                for stop in range(0, 4):
+                    got = _min_intersection_over(f.members, j, stop_below=stop)
+                    if want >= stop:
+                        assert got == want
+                    else:
+                        assert want <= got < stop
+
+    def _check_family(self, f, rng):
+        cands = list(enumerate_ksubsets(f.n, f.k))
+        rng.shuffle(cands)
+        for kind, x, rule, ok_add in RULES:
+            grown = grow(f, rule, cands)
+            assert grown == reference_grow(f, ok_add, cands), (kind, x, f)
+            for g in (f, grown):
+                assert is_saturated(g, rule) == reference_is_saturated(g, ok_add), (kind, x, g)
+
+    def test_saturation_and_grow_all_families_5_2(self):
+        rng = random.Random(90)
+        for f in all_families(5, 2):
+            self._check_family(f, rng)
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (7, 3)])
+    def test_saturation_and_grow_seeded(self, n, k):
+        rng = random.Random(91 + n)
+        fams = seeded_families(rng, n, k, 40)
+        assert any(not is_t_intersecting(f, 1) for f in fams)
+        assert any(is_saturated(f, addable_r_wise(3)) for f in fams if f.members)
+        for f in fams:
+            self._check_family(f, rng)
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (7, 3)])
+    def test_levels_follow_adds(self, n, k):
+        rng = random.Random(92 + n)
+        for f in seeded_families(rng, n, k, 12):
+            for r in (2, 3, 4):
+                tester = addable_r_wise(r).start(f.members)
+                assert tester.levels == reference_levels(f.members, r - 1)
+                members = list(f.members)
+                for cand in rng.sample(enumerate_ksubsets(n, k), 4):
+                    tester.add(cand)
+                    members.append(cand)
+                    assert tester.levels == reference_levels(members, r - 1)
+
+    def test_whole_family_rule_only_for_r_wise(self):
+        f = fam(5, 2, (1, 2), (3, 4))
+        assert not is_saturated(f, addable_t_intersecting(1))
+        assert grow(f, addable_t_intersecting(1), enumerate_ksubsets(5, 2)) == fam(
+            5, 2, (1, 2), (1, 3), (2, 3), (3, 4)
+        )
+        assert is_saturated(f, addable_r_wise(2))
+        assert grow(f, addable_r_wise(2), enumerate_ksubsets(5, 2)) == f
+
+    def test_candidate_meets_itself(self):
+        empty = SetFamily(5, 2, ())
+        assert grow(empty, addable_t_intersecting(3), enumerate_ksubsets(5, 2)) == empty
+        assert len(grow(empty, addable_t_intersecting(2), enumerate_ksubsets(5, 2))) == 1
+
+    def test_r_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            addable_r_wise(1)
