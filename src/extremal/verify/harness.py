@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import random
 import time
-from itertools import combinations, product
+from itertools import product
 from math import comb
+from operator import ge
 
 from ..constructions import brace_daykin, full_star
-from ..core import SetFamily, elems_of, enumerate_ksubsets
+from ..core import SetFamily, enumerate_ksubsets
 from ..core import _unit_predecessors
 from ..measures import (
     addable_r_wise,
@@ -23,7 +24,7 @@ from ..measures import (
     meets_pseudo_window,
     pseudo_windows,
 )
-from ..order import kk_min_shadow
+from ..order import kk_min_shadow, shadow
 from ..shifting import ALWAYS, shift_ad_extremis
 from .registry import (
     REGISTRY,
@@ -510,42 +511,62 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
             bound = "" if exact else " (an upper bound: the space is too large to count)"
             raise BudgetError(f"estimated {est} evaluations{bound} exceed budget {budget}")
         if sid == "KRUSKAL_KATONA" and space == "families":
-            return _kk_exhaustive(grid["n"], grid["k"], params.get("l", 1), config)
+            return _kk_exhaustive(grid["n"], grid["k"], params, config)
     return _consume(sid, instances, config, budget)
 
 
-def _kk_exhaustive(n, k, l, config):
-    """Bit-parallel sweep of all 2^C(n,k) families against the lex shadow minimum."""
+def _or_table(shmasks) -> list[int]:
+    """Entry b: the OR of shmasks[i] over the bits i set in b (built by doubling)."""
+    out = [0]
+    for sh in shmasks:
+        out += [x | sh for x in out]
+    return out
+
+
+def _kk_exhaustive(n, k, params, config):
+    """All 2^C(n,k) families against the lex shadow minimum, meet in the middle.
+
+    Family `bits` holds member i iff bit i is set.  Its shadow is the OR of
+    two table entries, one over the low floor(m/2) member bits and one over
+    the high ones, so memory is about 2 * 2^(m/2) entries, not 2^m.  The
+    families are visited in ascending `bits`, as the generic sweep visits
+    them, so totals, witness and budget use match it.  The statement's
+    hypothesis reads only k and l, so it is evaluated once, on the empty
+    family: where it fails, every family is vacuous.
+    """
     t0 = time.perf_counter()
-    masks = enumerate_ksubsets(n, k)
-    m_count = len(masks)
-    sub_index = {m: i for i, m in enumerate(enumerate_ksubsets(n, k - l))}
-    shmasks = []
-    for m in masks:
-        sh = 0
-        els = elems_of(m)
-        for drop in combinations(els, l):
-            d = m
-            for e in drop:
-                d ^= 1 << (e - 1)
-            sh |= 1 << sub_index[d]
-        shmasks.append(sh)
-    kkmin = [kk_min_shadow(n, k, size, l) for size in range(m_count + 1)]
-    table = [0] * (1 << m_count)
-    totals = {"pass": 1, "vacuous": 0, "fail": 0}  # the empty family passes
+    m_count = comb(n, k)
+    totals = {"pass": 0, "vacuous": 0, "fail": 0}
     witnesses = []
-    halted = False
-    for bits in range(1, 1 << m_count):
-        low = bits & -bits
-        sh = table[bits ^ low] | shmasks[low.bit_length() - 1]
-        table[bits] = sh
-        if sh.bit_count() >= kkmin[bits.bit_count()]:
-            totals["pass"] += 1
-        else:
-            totals["fail"] += 1
+    if not REGISTRY["KRUSKAL_KATONA"].hypothesis(Instance((SetFamily(n, k, []),), params)):
+        totals["vacuous"] = 1 << m_count
+    else:
+        l = params.get("l", 1)
+        masks = enumerate_ksubsets(n, k)
+        sub_index = {d: i for i, d in enumerate(enumerate_ksubsets(n, k - l))}
+        shmasks = [
+            sum(1 << sub_index[d] for d in shadow(SetFamily(n, k, [m], _trusted=True), l).members)
+            for m in masks
+        ]
+        kkmin = [kk_min_shadow(n, k, size, l) for size in range(m_count + 1)]
+        low_bits = m_count // 2
+        low = _or_table(shmasks[:low_bits])
+        low_sizes = [b.bit_count() for b in range(len(low))]
+        for h, high_sh in enumerate(_or_table(shmasks[low_bits:])):
+            need = kkmin[h.bit_count():]
+            shadow_sizes = map(int.bit_count, map(high_sh.__or__, low))
+            if all(map(ge, shadow_sizes, map(need.__getitem__, low_sizes))):
+                totals["pass"] += len(low)
+                continue
+            b = next(
+                b for b, low_sh in enumerate(low)
+                if (high_sh | low_sh).bit_count() < need[low_sizes[b]]
+            )
+            totals["pass"] += b
+            totals["fail"] = 1
+            bits = h << low_bits | b
             inst = Instance((SetFamily(n, k, _decode(bits, masks), _trusted=True),), {"l": l})
             witnesses.append(inst.to_witness("KRUSKAL_KATONA"))
-            halted = True
             break
     return _finalize(
         "KRUSKAL_KATONA",
@@ -555,7 +576,7 @@ def _kk_exhaustive(n, k, l, config):
         {},
         2 * sum(totals.values()),
         time.perf_counter() - t0,
-        halted,
+        bool(witnesses),
     )
 
 

@@ -77,6 +77,14 @@ def parse_params(raw) -> dict:
     return {key: _parse_param(key, value) for key, value in raw.items()}
 
 
+def int_param(params: dict, key: str, default: int) -> int:
+    """Param `key` (`default` when absent); any value but an int raises a ValueError naming it."""
+    value = params.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"parameter {key!r} must be an int, got {param_repr(value)!r}")
+    return value
+
+
 def param_repr(value):
     """A Fraction as its "p/q" string; any other value unchanged."""
     if isinstance(value, Fraction):
@@ -869,7 +877,7 @@ _register(
 _register(
     "KRUSKAL_KATONA",
     "family",
-    lambda i: 0 <= i.params.get("l", 1) <= _f(i).k,
+    lambda i: 0 <= int_param(i.params, "l", 1) <= _f(i).k,
     lambda i: len(shadow(_f(i), i.params.get("l", 1)))
     >= kk_min_shadow(_f(i).n, _f(i).k, len(_f(i)), i.params.get("l", 1)),
     "every family's shadow is at least the lex segment's",

@@ -4,7 +4,8 @@ Supports single-slot conjunctions of the registry atoms.  Hereditary atoms
 (t-intersecting, matching cap) prune directly; the degree-ratio cap prunes
 through a dilution bound (the current maximum degree cannot be diluted below
 max_deg / (size + remaining)); non-triviality prunes when even adding every
-remaining candidate keeps a common element.
+remaining candidate keeps a common element.  Every atom is invariant under
+permutations of [n], so the root branches on the first k-set [k] alone.
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
                 return
         for idx, cand in enumerate(cands_left):
             if size + len(cands_left) - idx <= best_size:
+                break
+            # some optimum contains cands[0] = [k], up to a permutation of [n]
+            if not chosen and idx:
                 break
             new_cands = (
                 [c for c in cands_left[idx + 1 :] if (c & cand).bit_count() >= t_req]

@@ -231,6 +231,25 @@ class TestVerifyCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and message in err[0]
 
+    @pytest.mark.parametrize("space", ["", ",space=initial"])
+    @pytest.mark.parametrize("l", ["1/2", "-1/3"])
+    def test_kk_non_int_l_exit_2(self, capsys, space, l):
+        argv = ["verify", "--id", "KRUSKAL_KATONA", "--exhaustive", f"n=4,k=2,l={l}{space}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "parameter 'l'" in err[0]
+
+    @pytest.mark.parametrize("space, count", [("", 64), (",space=initial", 8)])
+    @pytest.mark.parametrize("l", [-1, 3])
+    def test_kk_l_outside_0_k_is_vacuous(self, tmp_path, space, count, l):
+        out = tmp_path / "kk.json"
+        argv = ["verify", "--id", "KRUSKAL_KATONA", "--exhaustive", f"n=4,k=2,l={l}{space}",
+                "--out", str(out)]
+        assert main(argv) == 0
+        result = json.loads(out.read_text(encoding="utf-8"))["result"]
+        assert result["totals"] == {"pass": 0, "vacuous": count, "fail": 0}
+        assert result["budget_used"] == 2 * count
+
     @pytest.mark.parametrize("sample, code", [
         ("count=-3", 2),
         ("count=x", 2),

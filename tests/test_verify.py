@@ -11,7 +11,7 @@ from extremal.core import SetFamily, comb0, enumerate_ksubsets
 from extremal.constructions import fano, full_star
 from extremal.measures import is_cross_t_intersecting, is_t_intersecting
 from extremal.order import shadow
-from extremal.shifting import And, RhoAtMost, TIntersecting
+from extremal.shifting import And, MatchingAtMost, NonTrivial, RhoAtMost, TIntersecting
 from extremal.verify import (
     REGISTRY,
     BudgetError,
@@ -670,3 +670,172 @@ class TestSpaces:
         rep = exhaustive_sweep(sid, grid)
         assert rep["result"]["totals"]["fail"] == 0
         assert calls == [(grid["n"], grid["k"])]
+
+
+def reference_kk_sweep(n, k, l):
+    """The KRUSKAL_KATONA fast path before meet in the middle: one 2^m-entry shadow table.
+
+    Returns the totals, witnesses, budget use and halt flag of the result section;
+    floors come from `harness.kk_min_shadow`, so a patched floor reaches both sweeps.
+    """
+    from itertools import combinations
+
+    from extremal.core import elems_of
+    from extremal.verify import harness
+
+    masks = enumerate_ksubsets(n, k)
+    m_count = len(masks)
+    sub_index = {m: i for i, m in enumerate(enumerate_ksubsets(n, k - l))}
+    shmasks = []
+    for m in masks:
+        sh = 0
+        for drop in combinations(elems_of(m), l):
+            d = m
+            for e in drop:
+                d ^= 1 << (e - 1)
+            sh |= 1 << sub_index[d]
+        shmasks.append(sh)
+    kkmin = [harness.kk_min_shadow(n, k, size, l) for size in range(m_count + 1)]
+    table = [0] * (1 << m_count)
+    totals = {"pass": 1, "vacuous": 0, "fail": 0}  # the empty family passes
+    witnesses = []
+    for bits in range(1, 1 << m_count):
+        low = bits & -bits
+        sh = table[bits ^ low] | shmasks[low.bit_length() - 1]
+        table[bits] = sh
+        if sh.bit_count() >= kkmin[bits.bit_count()]:
+            totals["pass"] += 1
+        else:
+            totals["fail"] += 1
+            members = [masks[i] for i in range(m_count) if bits >> i & 1]
+            inst = Instance((SetFamily(n, k, members, _trusted=True),), {"l": l})
+            witnesses.append(inst.to_witness("KRUSKAL_KATONA"))
+            break
+    return {"totals": totals, "witnesses": witnesses,
+            "budget_used": 2 * sum(totals.values()), "halted_on_fail": bool(witnesses)}
+
+
+KK_KEYS = ("totals", "witnesses", "budget_used", "halted_on_fail")
+# every (n,k) with 1 <= C(n,k) <= 15, so m = 1, odd m and the split of 15 bits into 7 + 8 all occur
+KK_GRIDS = [(n, k) for n in range(2, 7) for k in range(n + 1) if comb(n, k) <= 15]
+
+
+def kk_sweep(n, k, params):
+    return exhaustive_sweep("KRUSKAL_KATONA", {"n": n, "k": k, "space": "families",
+                                               "params": params})["result"]
+
+
+class TestKruskalKatonaSweep:
+    def test_grids_cover_small_and_odd_m(self):
+        sizes = {comb(n, k) for n, k in KK_GRIDS}
+        assert {1, 3, 5, 15} <= sizes
+
+    @pytest.mark.parametrize("n,k", KK_GRIDS)
+    def test_matches_table_sweep(self, n, k):
+        for l in range(k + 1):
+            res = kk_sweep(n, k, {"l": l})
+            assert {key: res[key] for key in KK_KEYS} == reference_kk_sweep(n, k, l)
+
+    @pytest.mark.parametrize("n,k,size", [(4, 2, 1), (4, 2, 3), (4, 2, 4), (4, 2, 6),
+                                          (5, 2, 5), (5, 2, 9), (5, 3, 10), (3, 1, 2)])
+    def test_forced_failure_matches_table_sweep(self, monkeypatch, n, k, size):
+        from extremal.verify import harness
+
+        original = harness.kk_min_shadow
+
+        def raised(n_, k_, m, l):
+            return original(n_, k_, m, l) + (m == size)
+
+        monkeypatch.setattr(harness, "kk_min_shadow", raised)
+        res = kk_sweep(n, k, {"l": 1})
+        assert res["halted_on_fail"] and res["totals"]["fail"] == 1
+        assert {key: res[key] for key in KK_KEYS} == reference_kk_sweep(n, k, 1)
+        assert len(res["witnesses"][0]["families"][0]["members"]) == size
+
+    @pytest.mark.parametrize("l", [-1, 3, 5])
+    def test_l_outside_range_matches_generic_sweep(self, l):
+        from extremal.verify.harness import _consume, _space
+
+        res = kk_sweep(4, 2, {"l": l})
+        generic = _consume("KRUSKAL_KATONA", _space("families", {"n": 4, "k": 2}, {"l": l})[2],
+                           {}, 10**8)["result"]
+        assert {key: res[key] for key in KK_KEYS} == {key: generic[key] for key in KK_KEYS}
+        assert res["totals"] == {"pass": 0, "vacuous": 64, "fail": 0}
+        assert res["budget_used"] == 2 * 64
+
+    @pytest.mark.parametrize("space", ["families", "initial"])
+    @pytest.mark.parametrize("l", ["1/2", [1]])
+    def test_non_int_l_rejected(self, space, l):
+        with pytest.raises(ValueError, match="parameter 'l' must be an int"):
+            exhaustive_sweep("KRUSKAL_KATONA", {"n": 4, "k": 2, "space": space,
+                                                "params": {"l": l}})
+
+    def test_memory_is_two_half_tables(self):
+        import tracemalloc
+
+        kk_sweep(6, 2, {"l": 1})  # the caches of k-sets and floors are not the sweep's
+        tracemalloc.start()
+        try:
+            kk_sweep(6, 2, {"l": 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 2^15-entry table alone takes 256 KB
+        assert peak < 32 * 1024
+
+
+def reference_search(n, k, prop):
+    """search_max's branch and bound with every candidate tried at the root.
+
+    Returns (max size, witness members, evaluations).
+    """
+    from extremal.measures import degree_vector, is_nontrivial, matching_number
+    from extremal.shifting import MatchingAtMost, NonTrivial
+
+    atoms = list(prop.atoms())
+    t = max((a.t for a in atoms if isinstance(a, TIntersecting)), default=0)
+    caps = [Fraction(a.c) for a in atoms if isinstance(a, RhoAtMost)]
+    nu = min((a.s for a in atoms if isinstance(a, MatchingAtMost)), default=None)
+    nontrivial = any(isinstance(a, NonTrivial) for a in atoms)
+    best = []
+    evals = 0
+
+    def dfs(chosen, left):
+        nonlocal best, evals
+        evals += 1
+        fam = SetFamily(n, k, chosen, _trusted=True)
+        if len(chosen) > len(best) and prop.holds((fam,)):
+            best = list(chosen)
+        reach = len(chosen) + len(left)
+        if reach <= len(best):
+            return
+        if caps and chosen and max(degree_vector(fam)) > min(caps) * reach:
+            return
+        if nu is not None and chosen and matching_number(fam) > nu:
+            return
+        if nontrivial and not is_nontrivial(SetFamily(n, k, chosen + left, _trusted=True)):
+            return
+        for idx, cand in enumerate(left):
+            if len(chosen) + len(left) - idx <= len(best):
+                break
+            dfs(chosen + [cand], [c for c in left[idx + 1:] if (c & cand).bit_count() >= t])
+
+    dfs([], list(enumerate_ksubsets(n, k)))
+    return len(best), sorted(best), evals
+
+
+class TestSearchRoot:
+    @pytest.mark.parametrize("n,k,prop", [
+        (5, 2, And((TIntersecting(0, 1), RhoAtMost(0, Fraction(2, 3))))),
+        (6, 2, And((TIntersecting(0, 1),))),
+        (6, 2, And((MatchingAtMost(0, 2), RhoAtMost(0, Fraction(1, 2))))),
+        (6, 3, And((TIntersecting(0, 1), NonTrivial(0)))),
+        (6, 3, And((TIntersecting(0, 2),))),
+        (7, 3, And((TIntersecting(0, 1), RhoAtMost(0, Fraction(1, 2))))),
+    ])
+    def test_fixed_root_keeps_optimum_and_witness(self, n, k, prop):
+        size, witness, evals = reference_search(n, k, prop)
+        res = search_max(n, k, prop)
+        assert res.complete
+        assert (res.max_size, list(res.witness.members)) == (size, witness)
+        assert res.evaluations < evals
