@@ -21,7 +21,6 @@ from .core import (
     mask_of,
     meet,
     read_family,
-    shift_order_leq,
     trace,
     write_family,
 )
@@ -29,11 +28,9 @@ from .measures import (
     MeasureProfile,
     degree,
     is_cross_t_intersecting,
-    is_intersecting,
     is_nontrivial,
     is_pseudo_t_intersecting,
     is_r_wise_t_intersecting,
-    is_star,
     is_t_intersecting,
     matching_number,
     measure_profile,
@@ -43,14 +40,11 @@ from .measures import (
     transversal_number,
 )
 from .order import (
-    LexSegment,
-    cross_shadow_dichotomy,
     hilton_transfer,
     improved_shadow_applicable,
     katona_bound_holds,
     katona_shadow_ratio,
     kk_min_shadow,
-    lex_leq,
     lex_segment,
     shadow,
 )

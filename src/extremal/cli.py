@@ -218,8 +218,7 @@ def cmd_lex(args) -> int:
         if args.ground
         else mask_of(range(1, args.n + 1))
     )
-    seg = lex_segment(ground, args.k, args.m, n=args.n)
-    text = dumps_family(seg.family)
+    text = dumps_family(lex_segment(ground, args.k, args.m, n=args.n))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")

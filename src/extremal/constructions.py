@@ -11,9 +11,11 @@ from .core import (
     SetFamily,
     comb0,
     enumerate_ksubsets,
+    full_family,
     mask_of,
     prefix_mask,
 )
+from .measures import degree_vector
 
 
 @dataclass(frozen=True)
@@ -24,11 +26,6 @@ class NamedFamily:
     params: tuple[int, ...]
     families: tuple[tuple[str, SetFamily], ...]
     predicted_size: int | None
-
-    def single(self) -> SetFamily:
-        if len(self.families) != 1:
-            raise ValueError(f"{self.id} is a multi-family construction")
-        return self.families[0][1]
 
     def total_size(self) -> int:
         return sum(len(f) for _, f in self.families)
@@ -109,10 +106,6 @@ def example_1_7(n: int, k: int) -> tuple[SetFamily, SetFamily]:
     return fam_l, fam_r
 
 
-def example_1_7_bound(n: int, k: int) -> int:
-    return 2 * comb0(n - 2, k - 2) + 2 * comb0(n - 3, k - 3) - 5 * comb0(n - 4, k - 4)
-
-
 def example_1_8(n: int, k: int) -> tuple[SetFamily, SetFamily]:
     """Anchored pair: two disjoint 2-set anchors vs the four crossing 2-set anchors."""
     if not (n >= 4 and 2 <= k <= n):
@@ -185,8 +178,6 @@ def disjoint_blocks(k: int, l: int) -> tuple[SetFamily, SetFamily]:
     if k < 1 or l < 1:
         raise ValueError("k and l must be positive")
     n = k * l
-    if n > 63:
-        raise CapacityError(f"ground set {n} exceeds 63")
     if n < 2:
         raise ValueError("need at least two points")
     blocks = [list(range(b * k + 1, b * k + k + 1)) for b in range(l)]
@@ -259,14 +250,7 @@ def projective_plane(q: int) -> SetFamily:
     for i, l1 in enumerate(fam.members):
         for l2 in fam.members[i + 1 :]:
             assert (l1 & l2).bit_count() == 1
-    degs = [0] * n
-    for m in fam.members:
-        mm = m
-        while mm:
-            low = mm & -mm
-            degs[low.bit_length() - 1] += 1
-            mm ^= low
-    assert all(d == q + 1 for d in degs)
+    assert all(d == q + 1 for d in degree_vector(fam))
     return fam
 
 
@@ -330,8 +314,6 @@ def build(name: str, params: tuple[int, ...]) -> NamedFamily:
         return _checked(NamedFamily(name, (), (("fano", fano()),), 7))
     if name == "full":
         n, k = params
-        from .core import full_family
-
         return _checked(NamedFamily(name, params, (("full", full_family(n, k)),), comb(n, k)))
     raise ValueError(f"unknown construction {name!r}")
 

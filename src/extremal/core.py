@@ -200,18 +200,6 @@ def meet(fam: SetFamily, p) -> SetFamily:
     return SetFamily(fam.n, fam.k, (m for m in fam.members if m & pm), _trusted=True)
 
 
-def shift_order_leq(p: int, q: int) -> bool:
-    """Coordinatewise domination of sorted element lists (the shifting order)."""
-    pm = as_mask(p)
-    qm = as_mask(q)
-    if pm.bit_count() != qm.bit_count():
-        raise ValueError("shift order compares equal-size sets only")
-    for a, b in zip(elems_of(pm), elems_of(qm)):
-        if a > b:
-            return False
-    return True
-
-
 def _unit_predecessors(mask: int) -> Iterator[int]:
     # Covers of the shifting order are single-element decrements y -> y-1;
     # closure under covers equals downward closure.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import SetFamily, enumerate_ksubsets, prefix_mask
+from .core import SetFamily, enumerate_ksubsets, is_initial, prefix_mask
 
 
 def degree(fam: SetFamily, i: int) -> int:
@@ -52,16 +52,6 @@ def _common_mask(members: Iterable[int], n: int) -> int:
     return m
 
 
-def common_elements(fam: SetFamily) -> int:
-    """Mask of elements lying in every member (the full ground set if empty)."""
-    return _common_mask(fam.members, fam.n)
-
-
-def is_star(fam: SetFamily, t: int = 1) -> bool:
-    """Nonempty with at least t common elements."""
-    return bool(fam.members) and common_elements(fam).bit_count() >= t
-
-
 def is_nontrivial_masks(members: Sequence[int], n: int) -> bool:
     """Nonempty with no common element; the member masks may have any sizes."""
     return bool(members) and _common_mask(members, n) == 0
@@ -86,10 +76,6 @@ def is_t_intersecting(fam: SetFamily, t: int) -> bool:
             if (a & b).bit_count() < t:
                 return False
     return True
-
-
-def is_intersecting(fam: SetFamily) -> bool:
-    return is_t_intersecting(fam, 1)
 
 
 def is_cross_t_intersecting(fam: SetFamily, other: SetFamily, t: int) -> bool:
@@ -453,8 +439,6 @@ class MeasureProfile:
 
 
 def measure_profile(fam: SetFamily, max_t_level: int = 4) -> MeasureProfile:
-    from .core import is_initial
-
     tau = {}
     if fam.members:
         for t in range(1, fam.k + 1):

@@ -6,42 +6,13 @@ symmetric difference lies in A, e.g. {1,2,9} before {1,3,4}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
-from .core import SetFamily, as_mask, elems_of, mask_of
+from .core import SetFamily, as_mask, elems_of, enumerate_ksubsets, mask_of
 from .measures import is_cross_t_intersecting
-
-
-def lex_leq(a: int, b: int) -> bool:
-    """Total order on equal-size sets; reflexive."""
-    am = as_mask(a)
-    bm = as_mask(b)
-    if am.bit_count() != bm.bit_count():
-        raise ValueError("lex order compares equal-size sets only")
-    diff = am ^ bm
-    if not diff:
-        return True
-    return bool(am & (diff & -diff))
-
-
-def _lex_first(ground: tuple[int, ...], k: int) -> list[int]:
-    return list(range(k))
-
-
-def _lex_next(idx: list[int], s: int) -> bool:
-    # next k-subset of an s-element ground, as sorted positions; lex order
-    k = len(idx)
-    for i in range(k - 1, -1, -1):
-        if idx[i] != i + s - k:
-            idx[i] += 1
-            for j in range(i + 1, k):
-                idx[j] = idx[j - 1] + 1
-            return True
-    return False
 
 
 def lex_masks(ground_elems: tuple[int, ...], k: int, m: int) -> list[int]:
@@ -51,56 +22,16 @@ def lex_masks(ground_elems: tuple[int, ...], k: int, m: int) -> list[int]:
         raise ValueError(f"k={k} outside [0, |X|={s}]")
     if not 0 <= m <= comb(s, k):
         raise ValueError(f"m={m} outside [0, C({s},{k})]")
-    if m == 0:
-        return []
-    if k == 0:
-        return [0]
-    out = []
-    idx = _lex_first(ground_elems, k)
-    while True:
-        out.append(mask_of(ground_elems[i] for i in idx))
-        if len(out) == m or not _lex_next(idx, s):
-            break
-    return out
+    return [mask_of(c) for c in islice(combinations(ground_elems, k), m)]
 
 
-def unrank_lex(ground_elems: tuple[int, ...], k: int, r: int) -> int:
-    """The r-th (0-based) k-subset of the ground in lex order, by ranking."""
-    s = len(ground_elems)
-    if not 0 <= r < comb(s, k):
-        raise ValueError(f"rank {r} outside [0, C({s},{k}))")
-    out = []
-    pos = 0
-    need = k
-    while need:
-        cnt = comb(s - pos - 1, need - 1)
-        if r < cnt:
-            out.append(ground_elems[pos])
-            need -= 1
-        else:
-            r -= cnt
-        pos += 1
-    return mask_of(out)
-
-
-@dataclass(frozen=True)
-class LexSegment:
-    """The first m k-subsets of a ground set X in lexicographic order."""
-
-    ground: tuple[int, ...]
-    k: int
-    m: int
-    family: SetFamily
-
-
-def lex_segment(x, k: int, m: int, *, n: int | None = None) -> LexSegment:
-    xm = as_mask(x)
-    ground = elems_of(xm)
+def lex_segment(x, k: int, m: int, *, n: int | None = None) -> SetFamily:
+    """The first m k-subsets of the ground set X in lexicographic order."""
+    ground = elems_of(as_mask(x))
     masks = lex_masks(ground, k, m)
     if n is None:
         n = max(2, ground[-1] if ground else 2)
-    fam = SetFamily(n, k, sorted(masks), _trusted=True)
-    return LexSegment(ground=ground, k=k, m=m, family=fam)
+    return SetFamily(n, k, sorted(masks), _trusted=True)
 
 
 def shadow(fam: SetFamily, l: int = 1) -> SetFamily:
@@ -127,8 +58,6 @@ def kk_min_shadow(n: int, k: int, m: int, l: int) -> int:
     """
     if not 0 <= m <= comb(n, k):
         raise ValueError(f"m={m} outside [0, C({n},{k})]")
-    from .core import enumerate_ksubsets
-
     seg = SetFamily(n, k, enumerate_ksubsets(n, k)[:m], _trusted=True)
     return len(shadow(seg, l))
 
@@ -146,6 +75,7 @@ def lex_cross_intersecting(n: int, a: int, b: int, ma: int, mb: int) -> bool:
     return True
 
 
+# kept while bench/tracing.py traces it by name
 def hilton_transfer(a_fam: SetFamily, b_fam: SetFamily) -> bool:
     """Whether the lex segments of the two sizes are cross-intersecting.
 
@@ -196,19 +126,3 @@ def improved_shadow_applicable(fam: SetFamily, t: int, l: int) -> tuple[bool, Fr
         raise ValueError(f"need 1 <= l < t < k, got k={k}, t={t}, l={l}")
     threshold = comb(2 * k - t, k) * (1 + Fraction(t + l, k + t + 1 - l))
     return (len(fam) >= threshold, katona_shadow_ratio(k - 1, t, l))
-
-
-def cross_shadow_dichotomy(
-    a_fam: SetFamily, b_fam: SetFamily, t: int, l1: int, l2: int
-) -> bool:
-    """At least one of the two cross-shadow inequalities holds (evaluated exactly)."""
-    if not a_fam.members or not b_fam.members:
-        raise ValueError("both families must be nonempty")
-    k1, k2 = a_fam.k, b_fam.k
-    if not (1 <= l1 < k1 and 1 <= l2 < k2):
-        raise ValueError(f"need 1 <= l_i < k_i, got l1={l1}, k1={k1}, l2={l2}, k2={k2}")
-    if t < 1 or t > min(k1, k2):
-        raise ValueError(f"t={t} outside [1, min(k1,k2)]")
-    if not is_cross_t_intersecting(a_fam, b_fam, t):
-        raise ValueError("input families are not cross t-intersecting")
-    return any(lhs >= rhs for lhs, rhs in map(katona_sides, (a_fam, b_fam), (t, t), (l1, l2)))

@@ -14,7 +14,6 @@ from .registry import (
     REGISTRY,
     Instance,
     StatementReport,
-    check_binomials,
     check_fact_3_13,
     check_identity_2_3,
     check_identity_3_2,

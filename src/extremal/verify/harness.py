@@ -502,7 +502,7 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
             est *= hi - lo + 1
         if est > budget:
             raise BudgetError(f"estimated {est} evaluations exceed budget {budget}")
-        params.update(fixed)
+        params.update(parse_params(fixed))
         instances = _grid_instances(ranges, params)
     else:
         count, exact, instances = _space(space, grid, params)

@@ -56,8 +56,14 @@ from ..order import (
 )
 
 
+# the params that the registry reads as integers
+_INT_PARAMS = frozenset(("t", "l", "l1", "l2", "s", "d", "r", "x", "y"))
+
+
 def _parse_param(key: str, value):
     # type(...) is int, so that JSON true/false are no ints here
+    if key in _INT_PARAMS and type(value) is not int:
+        raise ValueError(f"parameter {key!r} must be an int, got {param_repr(value)!r}")
     if type(value) is int or isinstance(value, Fraction):
         return value
     if isinstance(value, list) and all(type(v) is int for v in value):
@@ -77,14 +83,6 @@ def parse_params(raw) -> dict:
     return {key: _parse_param(key, value) for key, value in raw.items()}
 
 
-def int_param(params: dict, key: str, default: int) -> int:
-    """Param `key` (`default` when absent); any value but an int raises a ValueError naming it."""
-    value = params.get(key, default)
-    if type(value) is not int:
-        raise ValueError(f"parameter {key!r} must be an int, got {param_repr(value)!r}")
-    return value
-
-
 def param_repr(value):
     """A Fraction as its "p/q" string; any other value unchanged."""
     if isinstance(value, Fraction):
@@ -99,6 +97,7 @@ class Instance:
     families: tuple[SetFamily, ...] = ()
     params: dict = field(default_factory=dict)
 
+    # kept while bench/tracing.py traces it by name
     def descriptor(self) -> str:
         fams = "; ".join(f"F{i}(n={f.n},k={f.k},m={len(f)})" for i, f in enumerate(self.families))
         ps = ",".join(f"{k}={v}" for k, v in sorted(self.params.items(), key=lambda kv: kv[0]))
@@ -198,11 +197,6 @@ def binom_half(n: int, k: int, t: int) -> bool | None:
     return 2 * comb0(n - t - 2, k - t - 2) >= comb0(n - 3, k - t - 2)
 
 
-def check_binomials(n: int, k: int, i: int, t: int) -> dict:
-    """Both binomial inequalities over their stated ranges, exact big-int arithmetic."""
-    return {"n_minus_i": binom_n_minus_i(n, k, i), "half": binom_half(n, k, t)}
-
-
 # --------------------------------------------------------------------------
 # helpers shared by the checkers
 # --------------------------------------------------------------------------
@@ -295,7 +289,7 @@ _register(
     and _f(i).n >= 4 * (i.params["d"] - 1) * i.params["d"] * _f(i).k
     and is_t_intersecting(_f(i), 1)
     and len(_f(i))
-    >= 2 ** i.params["d"]
+    > 2 ** i.params["d"]
     * i.params["d"] ** (2 * i.params["d"] + 1)
     * comb0(_f(i).n - i.params["d"] - 1, _f(i).k - i.params["d"] - 1),
     lambda i: rho(_f(i)) > Fraction(1, i.params["d"]),
@@ -877,7 +871,7 @@ _register(
 _register(
     "KRUSKAL_KATONA",
     "family",
-    lambda i: 0 <= int_param(i.params, "l", 1) <= _f(i).k,
+    lambda i: 0 <= i.params.get("l", 1) <= _f(i).k,
     lambda i: len(shadow(_f(i), i.params.get("l", 1)))
     >= kk_min_shadow(_f(i).n, _f(i).k, len(_f(i)), i.params.get("l", 1)),
     "every family's shadow is at least the lex segment's",

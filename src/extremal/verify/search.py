@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import SetFamily, enumerate_ksubsets
+from ..core import SetFamily, elems_of, enumerate_ksubsets
 from ..measures import matching_number
 from ..shifting import MatchingAtMost, NonTrivial, RhoAtMost, TIntersecting
 from .harness import DEFAULT_BUDGET
@@ -27,8 +27,6 @@ class SearchResult:
     evaluations: int
 
     def to_json_dict(self) -> dict:
-        from ..core import elems_of
-
         return {
             "max_size": self.max_size,
             "witness": [list(elems_of(m)) for m in self.witness.members],

@@ -239,6 +239,15 @@ class TestVerifyCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "parameter 'l'" in err[0]
 
+    @pytest.mark.parametrize("sid, grid, key", [
+        ("EKR_1_1", "t=1/2", "t"),
+        ("KATONA", "t=1,l=1/2", "l"),
+    ])
+    def test_non_int_param_exit_2(self, capsys, sid, grid, key):
+        assert main(["verify", "--id", sid, "--exhaustive", f"n=4,k=2,{grid}"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"parameter '{key}' must be an int" in err[0]
+
     @pytest.mark.parametrize("space, count", [("", 64), (",space=initial", 8)])
     @pytest.mark.parametrize("l", [-1, 3])
     def test_kk_l_outside_0_k_is_vacuous(self, tmp_path, space, count, l):

@@ -11,7 +11,6 @@ from extremal.constructions import (
     build,
     disjoint_blocks,
     example_1_7,
-    example_1_7_bound,
     example_1_8,
     example_3_10,
     fano,
@@ -101,7 +100,8 @@ class TestExample17:
 
     def test_bound_comparison_reported_not_asserted(self):
         left, _ = example_1_7(10, 4)
-        assert example_1_7_bound(10, 4) == 65  # the displayed ">" is equality here
+        # 2C(n-2,k-2) + 2C(n-3,k-3) - 5C(n-4,k-4); the displayed ">" is equality here
+        assert 2 * comb0(8, 2) + 2 * comb0(7, 1) - 5 * comb0(6, 0) == len(left) == 65
 
     def test_rho_below_threshold(self):
         left, right = example_1_7(10, 4)
@@ -193,6 +193,10 @@ class TestBlocks:
         assert len(p) == 2 and len(r) == 9
         assert rho(p) == Fraction(1, 2) and rho(r) == Fraction(1, 3)
         assert is_cross_t_intersecting(p, r, 1)
+
+    def test_ground_beyond_capacity(self):
+        with pytest.raises(CapacityError):
+            disjoint_blocks(32, 2)
 
 
 class TestBuildRegistry:

@@ -21,10 +21,14 @@ from extremal.core import (
     loads_family,
     mask_of,
     meet,
-    shift_order_leq,
     trace,
 )
 from extremal.constructions import fano, frankl_family, full_star
+
+
+def reference_shift_order_leq(p, q):
+    """Coordinatewise domination of the sorted element lists of two equal-size sets."""
+    return all(a <= b for a, b in zip(elems_of(p), elems_of(q)))
 
 
 def fam(n, k, *sets):
@@ -145,32 +149,30 @@ class TestRestrictions:
 
 
 class TestShiftOrder:
-    def test_examples(self):
-        assert shift_order_leq(mask_of((1, 2, 4)), mask_of((2, 3, 4)))
-        assert not shift_order_leq(mask_of((1, 5)), mask_of((2, 3)))
-        m = mask_of((2, 4))
-        assert shift_order_leq(m, m)
+    """The shifting order that TestInitial uses as its oracle."""
 
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            shift_order_leq(mask_of((1,)), mask_of((1, 2)))
+    def test_examples(self):
+        assert reference_shift_order_leq(mask_of((1, 2, 4)), mask_of((2, 3, 4)))
+        assert not reference_shift_order_leq(mask_of((1, 5)), mask_of((2, 3)))
+        m = mask_of((2, 4))
+        assert reference_shift_order_leq(m, m)
 
     def test_partial_order_axioms_exhaustive(self):
         # all pairs at k <= 3, n <= 7
         for n, k in [(5, 2), (6, 3), (7, 3)]:
             masks = enumerate_ksubsets(n, k)
             for a in masks:
-                assert shift_order_leq(a, a)
+                assert reference_shift_order_leq(a, a)
             for a, b in combinations(masks, 2):
-                ab, ba = shift_order_leq(a, b), shift_order_leq(b, a)
+                ab, ba = reference_shift_order_leq(a, b), reference_shift_order_leq(b, a)
                 assert not (ab and ba)  # antisymmetry on distinct sets
             for a in masks:
                 for b in masks:
-                    if not shift_order_leq(a, b):
+                    if not reference_shift_order_leq(a, b):
                         continue
                     for c in masks:
-                        if shift_order_leq(b, c):
-                            assert shift_order_leq(a, c)
+                        if reference_shift_order_leq(b, c):
+                            assert reference_shift_order_leq(a, c)
 
 
 class TestInitial:
@@ -190,7 +192,7 @@ class TestInitial:
                 p in have
                 for g in f.members
                 for p in masks
-                if shift_order_leq(p, g)
+                if reference_shift_order_leq(p, g)
             )
             assert is_initial(f) == oracle
 

@@ -16,7 +16,6 @@ from extremal.verify import (
     REGISTRY,
     BudgetError,
     Instance,
-    check_binomials,
     check_fact_3_13,
     check_identity_2_3,
     check_identity_3_2,
@@ -31,10 +30,16 @@ from extremal.verify import (
     search_max,
 )
 from extremal.verify.recipes import RECIPES, recipe_for
+from extremal.verify.registry import binom_half, binom_n_minus_i
 
 
 def fam(n, k, *sets):
     return SetFamily.from_sets(n, k, sets)
+
+
+def reference_check_binomials(n, k, i, t):
+    """Both binomial inequalities over their stated ranges; None outside a range."""
+    return {"n_minus_i": binom_n_minus_i(n, k, i), "half": binom_half(n, k, t)}
 
 
 class TestIdentities:
@@ -72,12 +77,12 @@ class TestNumericChecks:
                         assert check_fact_3_13(a, big_a, b, big_b)
 
     def test_binomials(self):
-        out = check_binomials(10, 3, 2, 2)
+        out = reference_check_binomials(10, 3, 2, 2)
         assert out["n_minus_i"] is True
-        out = check_binomials(12, 5, 1, 2)
+        out = reference_check_binomials(12, 5, 1, 2)
         assert out["half"] is True
         # boundary n = ik+1
-        out = check_binomials(7, 3, 2, 2)
+        out = reference_check_binomials(7, 3, 2, 2)
         assert out["n_minus_i"] is True
 
 
@@ -128,6 +133,56 @@ class TestCheckStatement:
         w = inst.to_witness(sid)
         again = recheck_witness(w)
         assert again.verdict == rep.verdict
+
+    def test_thm_1_5_size_bound_is_strict(self):
+        # at (24,3) and d = 2 the bound 2^d * d^(2d+1) * C(n-d-1, k-d-1) is 4 * 32 * 1 = 128
+        star = full_star(24, 3, 1)
+
+        def verdict(size):
+            inst = Instance((SetFamily(24, 3, star.members[:size]),), {"d": 2})
+            return check_statement("THM_1_5", inst).verdict
+
+        assert verdict(128) == "vacuous"
+        assert verdict(129) == "pass"
+
+
+class TestIntParams:
+    """The params the registry reads as integers are rejected, naming the key, unless ints."""
+
+    @pytest.mark.parametrize("sid, params, key", [
+        ("EKR_1_1", {"t": [1]}, "t"),
+        ("EKR_1_1", {"t": "1/2"}, "t"),
+        ("EKR_1_1", {"t": Fraction(1, 2)}, "t"),
+        ("PROP_1_3", {"t": "1/2"}, "t"),
+        ("KATONA", {"t": 1, "l": "1/2"}, "l"),
+        ("THM_1_5", {"d": True}, "d"),
+        ("IDENTITY_3_2", {"x": 1, "y": [2]}, "y"),
+    ])
+    def test_exhaustive_rejects(self, sid, params, key):
+        with pytest.raises(ValueError, match=f"parameter '{key}' must be an int"):
+            exhaustive_sweep(sid, {"n": 4, "k": 2, "params": params})
+
+    def test_grid_space_rejects(self):
+        grid = {"n": [4, 8], "k": [3, 5], "t": "1/2", "space": "grid"}
+        with pytest.raises(ValueError, match="parameter 't' must be an int, got '1/2'"):
+            exhaustive_sweep("BINOM_1_13", grid)
+
+    def test_sample_rejects(self):
+        inst_spec = recipe_for("EKR_1_1")["instance"]
+        inst_spec["params"] = {**inst_spec.get("params", {}), "t": "1/2"}
+        with pytest.raises(ValueError, match="parameter 't' must be an int, got '1/2'"):
+            sample_sweep("EKR_1_1", inst_spec, 1, 0)
+
+    def test_witness_rejects(self):
+        witness = Instance((fano(),), {"t": 1}).to_witness("PROP_1_3")
+        witness["params"]["t"] = [1]
+        with pytest.raises(ValueError, match=r"parameter 't' must be an int, got \[1\]"):
+            instance_from_witness(witness)
+
+    def test_other_params_keep_their_forms(self):
+        inst = instance_from_witness({"id": "X", "families": [],
+                                      "params": {"eps": "1/58", "E": [1, 2], "M": 3}})
+        assert inst.params == {"eps": Fraction(1, 58), "E": [1, 2], "M": 3}
 
 
 class TestSweeps:
@@ -558,7 +613,7 @@ class TestMergedDefinitionOracles:
                     )
                 for i in range(0, 6):
                     for t in range(0, 8):
-                        assert check_binomials(n, k, i, t) == _oracle_check_binomials(n, k, i, t)
+                        assert reference_check_binomials(n, k, i, t) == _oracle_check_binomials(n, k, i, t)
         assert verdicts == {"BINOM_1_11": {"pass", "vacuous"}, "BINOM_1_13": {"pass", "vacuous"}}
 
 
