@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import random
 import time
+from functools import cache
 from itertools import product
-from math import comb
+from math import comb, prod
 from operator import ge
 
 from ..constructions import brace_daykin, full_star
@@ -53,13 +54,21 @@ def _rng_for(seed: int, idx: int) -> random.Random:
 # ---------------------------------------------------------------------------
 
 
+# the generator fields read as integers
+_INT_FIELDS = ("n", "k", "l", "t", "r")
+
+
 def _need(spec, what: str, *keys) -> None:
-    """Raise a ValueError naming the first of `keys` that the spec lacks."""
+    """Raise a ValueError naming the first of `keys` the spec lacks, or a non-int int field."""
     if not isinstance(spec, dict):
         raise ValueError(f"{what} spec must be an object, got {spec!r}")
     for key in keys:
         if key not in spec:
             raise ValueError(f"{what} spec lacks {key!r}")
+    for key in _INT_FIELDS:
+        # type(...) is int, so that 3.0 (which hashes as 3) and JSON true are refused
+        if key in spec and type(spec[key]) is not int:
+            raise ValueError(f"{what} spec field {key!r} must be an int, got {spec[key]!r}")
 
 
 def _keep(rng: random.Random, masks, keep: float) -> list[int]:
@@ -139,14 +148,6 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
     return _grow_shuffled(seed_fam, addable_r_wise(r), rng)
 
 
-def _dual_members(a_fam: SetFamily, l: int, t: int) -> list[int]:
-    return [
-        c
-        for c in enumerate_ksubsets(a_fam.n, l)
-        if all((c & m).bit_count() >= t for m in a_fam.members)
-    ]
-
-
 def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
     _need(spec, "pair", "mode")
     mode = spec["mode"]
@@ -164,14 +165,8 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         a_fam = gen_family(rng, spec["base"])
         t = spec.get("t", 1)
         l = spec.get("l", a_fam.k)
-        dual = _dual_members(a_fam, l, t)
-        b_fam = SetFamily(
-            a_fam.n, l, _keep(rng, dual, spec.get("density_b", 0.5)), _trusted=True
-        )
-        if mode == "cross-shifted":
-            return shift_ad_extremis((a_fam, b_fam), ALWAYS)[0]
-        return a_fam, b_fam
-    if mode == "lem37":
+        density_b, upto = spec.get("density_b", 0.5), None
+    elif mode == "lem37":
         # cross pair with members anchored at the two top elements, initial on [n-8]
         n, k = spec["n"], spec["k"]
         low = n - 8
@@ -184,10 +179,17 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         members = set(_keep(rng, anchored, spec.get("keep_anchor", 0.8)))
         members |= set(_keep(rng, star, spec.get("keep_star", 0.3)))
         a_fam = SetFamily(n, k, sorted(members), _trusted=True)
-        dual = _dual_members(a_fam, k, 1)
-        b_fam = SetFamily(n, k, _keep(rng, dual, spec.get("density_b", 0.6)), _trusted=True)
-        return shift_ad_extremis((a_fam, b_fam), ALWAYS, upto=low)[0]
-    raise ValueError(f"unknown pair mode {mode!r}")
+        l, t, density_b, upto = k, 1, spec.get("density_b", 0.6), low
+    else:
+        raise ValueError(f"unknown pair mode {mode!r}")
+    # B is drawn from the l-sets that meet every member of A in at least t points
+    index, compat = _cross_rows(a_fam.n, a_fam.k, l, t)
+    abits = sum(1 << index[m] for m in a_fam.members)
+    dual = _decode(_dual(abits, compat), enumerate_ksubsets(a_fam.n, l))
+    b_fam = SetFamily(a_fam.n, l, _keep(rng, dual, density_b), _trusted=True)
+    if mode == "cross-dual":
+        return a_fam, b_fam
+    return shift_ad_extremis((a_fam, b_fam), ALWAYS, upto=upto)[0]
 
 
 def gen_slices(rng: random.Random, spec: dict) -> tuple[SetFamily, ...]:
@@ -290,7 +292,21 @@ def initial_families(n: int, k: int):
     return out
 
 
-def _dual(abits: int, compat: list[int]) -> int:
+@cache
+def _cross_rows(n: int, k: int, l: int, t: int) -> tuple[dict, tuple[int, ...]]:
+    """The k-sets' bit index, and row j: the k-sets that l-set j meets in at least t points.
+
+    In `enumerate_ksubsets` order; built once per (n, k, l, t) and shared, so read-only.
+    """
+    a_masks = enumerate_ksubsets(n, k)
+    rows = tuple(
+        sum(1 << i for i, am in enumerate(a_masks) if (am & bm).bit_count() >= t)
+        for bm in enumerate_ksubsets(n, l)
+    )
+    return {m: i for i, m in enumerate(a_masks)}, rows
+
+
+def _dual(abits: int, compat: tuple[int, ...]) -> int:
     """The B-members t-compatible with every A-member in `abits`, as a bit set over rows."""
     return sum(1 << j for j, row in enumerate(compat) if not abits & ~row)
 
@@ -301,10 +317,31 @@ def _space(space: str, grid: dict, params: dict):
     Each space is built once, when its count is exact.  Past the size caps the
     count is an upper bound and nothing is built unless the stream is consumed.
     """
+    if space == "grid":
+        # a [lo, hi] list is a dimension swept over lo..hi, any other key a fixed param
+        ranges = {}
+        for key in sorted(grid):
+            value = grid[key]
+            if isinstance(value, (list, tuple)):
+                if len(value) != 2 or any(type(v) is not int for v in value) or value[0] > value[1]:
+                    raise ValueError(
+                        f"grid dimension {key!r} must be an int range [lo, hi] with lo <= hi, "
+                        f"got {value!r}"
+                    )
+                ranges[key] = range(value[0], value[1] + 1)
+        fixed = {key: value for key, value in grid.items() if key not in ranges}
+        params = {**params, **parse_params(fixed)}
+
+        def stream():
+            for combo in product(*ranges.values()):
+                yield Instance((), {**params, **dict(zip(ranges, combo))})
+
+        return prod(map(len, ranges.values())), True, stream()
     for key in ("n", "k"):
         if key not in grid:
             raise ValueError(f"the {space} space needs grid dimension {key!r}")
-        if not isinstance(grid[key], int):
+    for key in ("n", "k", "l"):
+        if key in grid and type(grid[key]) is not int:
             raise ValueError(f"grid dimension {key!r} must be an int, got {grid[key]!r}")
     n, k = grid["n"], grid["k"]
     l = grid.get("l", k)
@@ -353,19 +390,9 @@ def _space(space: str, grid: dict, params: dict):
     if space == "dual-pairs":
         t = params.get("t", 1)
 
-        def rows():
-            a_masks, b_masks = enumerate_ksubsets(n, k), enumerate_ksubsets(n, l)
-            # row j: the A-members that B-member j meets in at least t points
-            compat = [
-                sum(1 << i for i, am in enumerate(a_masks) if (am & bm).bit_count() >= t)
-                for bm in b_masks
-            ]
-            return a_masks, b_masks, compat
-
-        built = rows() if m <= 22 else None
-
         def stream():
-            a_masks, b_masks, compat = built or rows()
+            a_masks, b_masks = enumerate_ksubsets(n, k), enumerate_ksubsets(n, l)
+            compat = _cross_rows(n, k, l, t)[1]
             for abits in range(1 << m):
                 fa = fam(k, _decode(abits, a_masks))
                 # B may contain exactly the sets t-compatible with every chosen A-member
@@ -377,20 +404,11 @@ def _space(space: str, grid: dict, params: dict):
                         break
                     sub = (sub - 1) & dual
 
-        if built is None:
+        if m > 22:
             return 4**m, False, stream()
-        compat = built[2]
+        compat = _cross_rows(n, k, l, t)[1]
         return sum(1 << _dual(abits, compat).bit_count() for abits in range(1 << m)), True, stream()
     raise ValueError(f"unknown space {space!r}")
-
-
-def _grid_instances(grid: dict, params: dict):
-    keys = sorted(grid)
-    ranges = [range(grid[key][0], grid[key][1] + 1) for key in keys]
-    for combo in product(*ranges):
-        p = dict(params)
-        p.update(dict(zip(keys, combo)))
-        yield Instance((), p)
 
 
 # ---------------------------------------------------------------------------
@@ -494,24 +512,13 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
         "grid": {**grid, "space": space, "params": {k: param_repr(v) for k, v in params.items()}},
         "budget": budget,
     }
-    if space == "grid":
-        ranges = {k: v for k, v in grid.items() if isinstance(v, (list, tuple))}
-        fixed = {k: v for k, v in grid.items() if not isinstance(v, (list, tuple))}
-        est = 2
-        for lo, hi in ranges.values():
-            est *= hi - lo + 1
-        if est > budget:
-            raise BudgetError(f"estimated {est} evaluations exceed budget {budget}")
-        params.update(parse_params(fixed))
-        instances = _grid_instances(ranges, params)
-    else:
-        count, exact, instances = _space(space, grid, params)
-        est = 2 * count
-        if est > budget:
-            bound = "" if exact else " (an upper bound: the space is too large to count)"
-            raise BudgetError(f"estimated {est} evaluations{bound} exceed budget {budget}")
-        if sid == "KRUSKAL_KATONA" and space == "families":
-            return _kk_exhaustive(grid["n"], grid["k"], params, config)
+    count, exact, instances = _space(space, grid, params)
+    est = 2 * count
+    if est > budget:
+        bound = "" if exact else " (an upper bound: the space is too large to count)"
+        raise BudgetError(f"estimated {est} evaluations{bound} exceed budget {budget}")
+    if sid == "KRUSKAL_KATONA" and space == "families":
+        return _kk_exhaustive(grid["n"], grid["k"], params, config)
     return _consume(sid, instances, config, budget)
 
 

@@ -207,6 +207,34 @@ class TestVerifyCommand:
          "slices spec lacks 'mode'"),
         ("--suite", {"entries": [dict(SAMPLE_ENTRY, instance={})]},
          "KATONA instance spec lacks 'family'"),
+        # a generator field read as an int must be one; 3.0 would hash as 3 in the caches
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, instance={
+            "family": {"mode": "uniform", "n": 8.0, "k": 3}})]},
+         "family spec field 'n' must be an int, got 8.0"),
+        ("--rerun", {"config": dict(SAMPLE_ENTRY, id="HILTON", instance={
+            "pair": {"mode": "cross-dual", "base": {"mode": "uniform", "n": 8, "k": 3},
+                     "t": "1"}})},
+         "pair spec field 't' must be an int, got '1'"),
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, id="HILTON", instance={
+            "pair": {"mode": "cross-dual", "base": {"mode": "uniform", "n": 8, "k": 3},
+                     "l": 3.0}})]},
+         "pair spec field 'l' must be an int, got 3.0"),
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, id="BD_5_1", instance={
+            "slices": {"mode": "bd-sub", "n": 8, "r": "3"}})]},
+         "slices spec field 'r' must be an int, got '3'"),
+        # grid dimensions: an int l, and int [lo, hi] ranges with lo <= hi
+        ("--suite", {"entries": [{"id": "PROP_3_15", "mode": "exhaustive",
+                                  "grid": {"n": 5, "k": 2, "l": 3.0, "space": "initial-pairs"}}]},
+         "grid dimension 'l' must be an int, got 3.0"),
+        ("--suite", {"entries": [{"id": "BINOM_1_11", "mode": "exhaustive", "grid": {
+            "n": [9, 2], "k": [1, 3], "i": [1, 2], "space": "grid"}}]},
+         "grid dimension 'n' must be an int range [lo, hi] with lo <= hi, got [9, 2]"),
+        ("--suite", {"entries": [{"id": "BINOM_1_11", "mode": "exhaustive", "grid": {
+            "n": ["a", 5], "k": [1, 3], "i": [1, 2], "space": "grid"}}]},
+         "grid dimension 'n' must be an int range"),
+        ("--suite", {"entries": [{"id": "BINOM_1_11", "mode": "exhaustive", "grid": {
+            "n": [2, 9, 1], "k": [1, 3], "i": [1, 2], "space": "grid"}}]},
+         "grid dimension 'n' must be an int range"),
     ])
     def test_malformed_recipe_exit_2(self, tmp_path, capsys, option, payload, message):
         path = tmp_path / "bad.json"

@@ -690,11 +690,15 @@ SPACES = [
     ("initial", {"n": 6, "k": 3}, {}),
     ("initial-pairs", {"n": 5, "k": 2, "l": 2}, {}),
     ("dual-pairs", {"n": 4, "k": 2, "l": 2}, {"t": 1}),
+    ("dual-pairs", {"n": 5, "k": 3, "l": 2}, {"t": 2}),
 ]
 
 
 class TestSpaces:
-    @pytest.mark.parametrize("space,grid,params", SPACES, ids=[s[0] for s in SPACES])
+    # a space keeps its name as its id; a t other than 1 is added to it
+    @pytest.mark.parametrize("space,grid,params", SPACES, ids=[
+        s[0] + (f"-t{s[2]['t']}" if s[2].get("t", 1) != 1 else "") for s in SPACES
+    ])
     def test_space_matches_oracle(self, space, grid, params):
         from extremal.verify.harness import _space
 
@@ -725,6 +729,37 @@ class TestSpaces:
         rep = exhaustive_sweep(sid, grid)
         assert rep["result"]["totals"]["fail"] == 0
         assert calls == [(grid["n"], grid["k"])]
+
+
+def reference_dual_members(a_fam, l, t):
+    """The l-sets that meet every member of `a_fam` in at least t points, member by member."""
+    return [
+        c
+        for c in enumerate_ksubsets(a_fam.n, l)
+        if all((c & m).bit_count() >= t for m in a_fam.members)
+    ]
+
+
+class TestCrossRows:
+    """The cross-pair samplers' B pool, read from the shared table, against the per-member loop."""
+
+    def test_dual_matches_reference(self):
+        from extremal.verify.harness import gen_pair
+
+        # n = 1 is no ground set (SetFamily needs n >= 2)
+        for n in range(2, 8):
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    for t in range(0, min(k, l) + 2):
+                        # density 0 and 1 give the empty and the full A; 0.5 a seeded random one
+                        for density in (0.0, 1.0, 0.5):
+                            base = {"mode": "uniform", "n": n, "k": k, "density": density}
+                            spec = {"mode": "cross-dual", "base": base, "l": l, "t": t,
+                                    "density_b": 1.0}
+                            a_fam, b_fam = gen_pair(random.Random(n * 1000 + k * 100 + l), spec)
+                            if density != 0.5:
+                                assert len(a_fam) == density * comb(n, k)
+                            assert list(b_fam.members) == reference_dual_members(a_fam, l, t)
 
 
 def reference_kk_sweep(n, k, l):
