@@ -71,34 +71,41 @@ def parse_property_spec(text: str, slots: int = 1):
     atoms = []
     for tok in text.split("&"):
         tok = tok.strip()
-        if tok == "intersecting":
-            atoms.extend(TIntersecting(s, 1) for s in range(slots))
-        elif tok.startswith("t-intersecting(") and tok.endswith(")"):
-            t = int(tok[len("t-intersecting(") : -1])
-            atoms.extend(TIntersecting(s, t) for s in range(slots))
-        elif tok.startswith("cross(") and tok.endswith(")"):
-            parts = [p.strip() for p in tok[len("cross(") : -1].split(",")]
-            a, b = int(parts[0]), int(parts[1])
-            t = 1
-            if len(parts) == 3:
-                t = int(parts[2].split("=")[-1])
-            atoms.append(CrossTIntersecting(a, b, t))
-        elif tok.startswith("rho<="):
-            frac = tok[len("rho<=") :]
-            if "/" in frac:
-                num, den = frac.split("/")
-                c = Fraction(int(num), int(den))
-            else:
-                c = Fraction(int(frac))
-            atoms.extend(RhoAtMost(s, c) for s in range(slots))
-        elif tok.startswith("nu<="):
-            s_cap = int(tok[len("nu<=") :])
-            atoms.extend(MatchingAtMost(s, s_cap) for s in range(slots))
-        elif tok == "nontrivial":
-            atoms.extend(NonTrivial(s) for s in range(slots))
-        else:
-            raise ValueError(f"cannot parse property atom {tok!r}")
+        try:
+            atoms.extend(_parse_atom(tok, slots))
+        except (ValueError, ZeroDivisionError, IndexError) as exc:
+            raise ValueError(f"cannot parse property atom {tok!r}") from exc
     return And(tuple(atoms))
+
+
+def _parse_atom(tok: str, slots: int) -> list:
+    """The atoms that one token stands for; a malformed token raises."""
+    if tok == "intersecting":
+        return [TIntersecting(s, 1) for s in range(slots)]
+    if tok.startswith("t-intersecting(") and tok.endswith(")"):
+        t = int(tok[len("t-intersecting(") : -1])
+        return [TIntersecting(s, t) for s in range(slots)]
+    if tok.startswith("cross(") and tok.endswith(")"):
+        parts = [p.strip() for p in tok[len("cross(") : -1].split(",")]
+        a, b = int(parts[0]), int(parts[1])
+        t = 1
+        if len(parts) == 3:
+            t = int(parts[2].split("=")[-1])
+        return [CrossTIntersecting(a, b, t)]
+    if tok.startswith("rho<="):
+        frac = tok[len("rho<=") :]
+        if "/" in frac:
+            num, den = frac.split("/")
+            c = Fraction(int(num), int(den))
+        else:
+            c = Fraction(int(frac))
+        return [RhoAtMost(s, c) for s in range(slots)]
+    if tok.startswith("nu<="):
+        s_cap = int(tok[len("nu<=") :])
+        return [MatchingAtMost(s, s_cap) for s in range(slots)]
+    if tok == "nontrivial":
+        return [NonTrivial(s) for s in range(slots)]
+    raise ValueError("unknown atom")
 
 
 def _parse_kv(text: str) -> dict:

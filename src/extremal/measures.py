@@ -7,11 +7,13 @@ Rationals are exact fractions.Fraction values, never floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .core import SetFamily, enumerate_ksubsets, is_initial, prefix_mask
+from .core import SetFamily, elems_of, enumerate_ksubsets, is_initial, prefix_mask
 
 
 def degree(fam: SetFamily, i: int) -> int:
@@ -31,6 +33,15 @@ def degree_vector(fam: SetFamily) -> list[int]:
             degs[low.bit_length() - 1] += 1
             mm ^= low
     return degs
+
+
+def max_pair_degree(fam: SetFamily) -> int:
+    """The most members that contain any one 2-set, in one pass; 0 if no member has two."""
+    counts: Counter[int] = Counter()
+    for m in fam.members:
+        bits = [1 << (e - 1) for e in elems_of(m)]
+        counts.update(a | b for a, b in combinations(bits, 2))
+    return max(counts.values(), default=0)
 
 
 def rho(fam: SetFamily) -> Fraction:

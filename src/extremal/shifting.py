@@ -11,8 +11,9 @@ number at most s (Frankl, "The shifting technique in extremal set theory",
 `CrossTIntersecting` or `MatchingAtMost`.  A shift raises deg(i), lowers
 deg(j) by the same amount and leaves every other degree alone, so
 `RhoAtMost` and `NonTrivial` (no element of degree |F|, i.e. an empty common
-mask) are rechecked on deg(i) alone.  Those five atoms are the only ones the
-engine accepts.
+mask) are rechecked on deg(i) alone, against the cap that `degree_cap` reads
+off both; the exact search shares that cap.  Those five atoms are the only
+ones the engine accepts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import SetFamily
 from .measures import (
@@ -182,24 +183,31 @@ def shift_resistant_pairs(families: Sequence[SetFamily], prop) -> list[tuple[int
     return out
 
 
-def _degree_caps(fams: tuple[SetFamily, ...], prop) -> list[int]:
-    """Per slot, the largest degree an effective shift may leave and keep `prop`.
+def degree_cap(prop, slot: int) -> Callable[[int], int]:
+    """The largest maximum degree a family in `slot` may have and keep `prop`, given |F|.
 
-    A shift never raises a degree above |F|, so |F| is no limit.  `RhoAtMost(c)`
-    allows floor(c*|F|); `NonTrivial` allows |F| - 1, as an element of degree
-    |F| is a common element.  The shift-kept atoms allow |F|.
+    `RhoAtMost(c)` allows floor(c*|F|); `NonTrivial` allows |F| - 1, as an
+    element of degree |F| is a common element (and the empty family, whose
+    cap is -1, is trivial).  The shift-kept atoms allow |F|, no limit at all.
+    An atom of any other type raises `TypeError`.
     """
-    caps = [len(f) for f in fams]
+    c = None
+    drop = 0
     for atom in prop.atoms():
         if isinstance(atom, RhoAtMost):
-            c = Fraction(atom.c)
-            size = len(fams[atom.slot])
-            caps[atom.slot] = min(caps[atom.slot], c.numerator * size // c.denominator)
+            if atom.slot == slot:
+                c = Fraction(atom.c) if c is None else min(c, Fraction(atom.c))
         elif isinstance(atom, NonTrivial):
-            caps[atom.slot] = min(caps[atom.slot], len(fams[atom.slot]) - 1)
+            if atom.slot == slot:
+                drop = 1
         elif not isinstance(atom, (TIntersecting, CrossTIntersecting, MatchingAtMost)):
             raise TypeError(f"shift_ad_extremis has no shift rule for {type(atom).__name__}")
-    return caps
+    if c is None:
+        return lambda size: size - drop
+    if c < 0:
+        return lambda size: -1  # rho is never negative, not even on the empty family
+    num, den = c.numerator, c.denominator
+    return lambda size: min(size - drop, num * size // den)
 
 
 def shift_ad_extremis(
@@ -230,7 +238,7 @@ def shift_ad_extremis(
         upto = n
     elif upto > n:
         raise ValueError(f"upto={upto} exceeds n={n}")
-    caps = _degree_caps(fams, prop)
+    caps = [degree_cap(prop, slot)(len(f)) for slot, f in enumerate(fams)]
     if not prop.holds(fams):
         raise ValueError("property does not hold on the input tuple")
 

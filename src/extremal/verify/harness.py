@@ -54,21 +54,27 @@ def _rng_for(seed: int, idx: int) -> random.Random:
 # ---------------------------------------------------------------------------
 
 
-# the generator fields read as integers
-_INT_FIELDS = ("n", "k", "l", "t", "r")
+# the generator fields read as integers, and those read as numbers (probabilities)
+_INT_FIELDS = ("n", "k", "l", "t", "r", "adds")
+_NUMBER_FIELDS = (
+    "density", "keep", "keep_a", "keep_b", "keep_anchor", "keep_star", "density_b", "add_prob",
+)
 
 
 def _need(spec, what: str, *keys) -> None:
-    """Raise a ValueError naming the first of `keys` the spec lacks, or a non-int int field."""
+    """Raise a ValueError naming the first of `keys` the spec lacks, or a mistyped field."""
     if not isinstance(spec, dict):
         raise ValueError(f"{what} spec must be an object, got {spec!r}")
     for key in keys:
         if key not in spec:
             raise ValueError(f"{what} spec lacks {key!r}")
+    # type(...) checks, so that 3.0 (which hashes as 3) and JSON true are refused
     for key in _INT_FIELDS:
-        # type(...) is int, so that 3.0 (which hashes as 3) and JSON true are refused
         if key in spec and type(spec[key]) is not int:
             raise ValueError(f"{what} spec field {key!r} must be an int, got {spec[key]!r}")
+    for key in _NUMBER_FIELDS:
+        if key in spec and type(spec[key]) not in (int, float):
+            raise ValueError(f"{what} spec field {key!r} must be a number, got {spec[key]!r}")
 
 
 def _keep(rng: random.Random, masks, keep: float) -> list[int]:
@@ -103,12 +109,14 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
         t = spec.get("t", 1)
         star = full_star(n, k, t)
         members = set(_keep(rng, star.members, spec.get("keep", 0.8)))
-        star_set = set(star.members)
-        outside = [m for m in enumerate_ksubsets(n, k) if m not in star_set]
-        add_prob = spec.get("add_prob", 1.0)
-        for _ in range(spec.get("adds", 0)):
-            if outside and rng.random() < add_prob:
-                members.add(rng.choice(outside))
+        adds = spec.get("adds", 0)
+        if adds > 0:
+            star_set = set(star.members)
+            outside = [m for m in enumerate_ksubsets(n, k) if m not in star_set]
+            add_prob = spec.get("add_prob", 1.0)
+            for _ in range(adds):
+                if outside and rng.random() < add_prob:
+                    members.add(rng.choice(outside))
         return SetFamily(n, k, sorted(members), _trusted=True)
     if mode == "shifted":
         base = gen_family(rng, {"mode": "uniform", "n": n, "k": k, "density": spec.get("density", 0.5)})

@@ -19,7 +19,6 @@ from ..core import (
     avoid,
     comb0,
     elems_of,
-    enumerate_ksubsets,
     family_union,
     is_initial,
     link,
@@ -42,6 +41,7 @@ from ..measures import (
     is_saturated,
     is_t_intersecting,
     matching_number,
+    max_pair_degree,
     rho,
     t_level,
     transversal_number,
@@ -441,10 +441,7 @@ def _lem_3_5_m(i: Instance) -> int:
     f = _f(i)
     if "M" in i.params:
         return i.params["M"]
-    best = 0
-    for p in enumerate_ksubsets(f.n, 2):
-        best = max(best, len(link(f, p)))
-    return max(best, 2 * comb0(f.n - 5, f.k - 3))
+    return max(max_pair_degree(f), 2 * comb0(f.n - 5, f.k - 3))
 
 
 def _lem_3_5_hyp(i: Instance) -> bool:
@@ -452,8 +449,7 @@ def _lem_3_5_hyp(i: Instance) -> bool:
         return False
     if mask_of(i.params["R"]) & mask_of(i.params["Q"]):
         return False
-    cap = _lem_3_5_m(i)
-    return all(len(link(_f(i), p)) <= cap for p in enumerate_ksubsets(_f(i).n, 2))
+    return max_pair_degree(_f(i)) <= _lem_3_5_m(i)
 
 
 def _lem_3_5_concl(i: Instance) -> bool:
@@ -693,7 +689,7 @@ def _cor_4_4_concl(i: Instance) -> bool:
     cap = (t + 1) * comb0(n - t - 2, k - t - 2) + Fraction(
         5 * t * t + 19 * t + 24, 6
     ) * comb0(n - t - 3, k - t - 3)
-    return all(len(link(f, p)) <= cap for p in enumerate_ksubsets(n, 2))
+    return max_pair_degree(f) <= cap
 
 
 _register(

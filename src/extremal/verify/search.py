@@ -1,9 +1,11 @@
 """Exact maximum-family search under a property, by branch and bound.
 
-Supports single-slot conjunctions of the registry atoms.  Hereditary atoms
-(t-intersecting, matching cap) prune directly; the degree-ratio cap prunes
-through a dilution bound (the current maximum degree cannot be diluted below
-max_deg / (size + remaining)); non-triviality prunes when even adding every
+Supports conjunctions of the registry atoms on slot 0.  The degree-ratio cap
+and non-triviality come from `shifting.degree_cap`, one cap on the maximum
+degree that grows with |F|: a family is accepted when its maximum degree is
+within the cap at its size, and a branch is pruned when that degree exceeds
+the cap even at size + remaining.  Hereditary atoms (t-intersecting, matching
+cap) prune directly; non-triviality also prunes when even adding every
 remaining candidate keeps a common element.  Every atom is invariant under
 permutations of [n], so the root branches on the first k-set [k] alone.
 """
@@ -11,11 +13,10 @@ permutations of [n], so the root branches on the first k-set [k] alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..core import SetFamily, elems_of, enumerate_ksubsets
 from ..measures import matching_number
-from ..shifting import MatchingAtMost, NonTrivial, RhoAtMost, TIntersecting
+from ..shifting import MatchingAtMost, NonTrivial, RhoAtMost, TIntersecting, degree_cap
 from .harness import DEFAULT_BUDGET
 
 
@@ -35,6 +36,10 @@ class SearchResult:
         }
 
 
+class _BudgetSpent(Exception):
+    """Unwinds the search when the evaluation budget runs out."""
+
+
 def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     """Exact max |F| over k-graphs on [n] subject to the property, with witness.
 
@@ -42,25 +47,20 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
     t_req = 0
-    rho_cap: Fraction | None = None
     nu_cap: int | None = None
     nontrivial = False
     for atom in prop.atoms():
+        if not isinstance(atom, (TIntersecting, RhoAtMost, MatchingAtMost, NonTrivial)):
+            raise ValueError(f"unsupported search atom {type(atom).__name__}")
+        if atom.slot != 0:
+            raise ValueError(f"search supports slot-0 atoms only, got {atom!r}")
         if isinstance(atom, TIntersecting):
-            if atom.slot != 0:
-                raise ValueError("search supports slot-0 atoms only")
             t_req = max(t_req, atom.t)
-        elif isinstance(atom, RhoAtMost):
-            if atom.slot != 0:
-                raise ValueError("search supports slot-0 atoms only")
-            c = Fraction(atom.c)
-            rho_cap = c if rho_cap is None else min(rho_cap, c)
         elif isinstance(atom, MatchingAtMost):
             nu_cap = atom.s if nu_cap is None else min(nu_cap, atom.s)
         elif isinstance(atom, NonTrivial):
             nontrivial = True
-        else:
-            raise ValueError(f"unsupported search atom {type(atom).__name__}")
+    cap = degree_cap(prop, 0)
 
     cands = enumerate_ksubsets(n, k)
     if t_req > k:
@@ -69,43 +69,23 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     best_members: list[int] = []
     best_size = 0
     evals = 0
-    aborted = False
-
-    def satisfied(size: int, maxdeg: int, common: int, members: list[int]) -> bool:
-        if rho_cap is not None and size and Fraction(maxdeg, size) > rho_cap:
-            return False
-        if nontrivial and (size == 0 or common != 0):
-            return False
-        if nu_cap is not None and matching_number(
-            SetFamily(n, k, members, _trusted=True)
-        ) > nu_cap:
-            return False
-        return True
-
-    full_mask = (1 << n) - 1
 
     def dfs(chosen: list[int], cands_left: list[int], degs: list[int], maxdeg: int, common: int):
-        nonlocal best_members, best_size, evals, aborted
-        if aborted:
-            return
+        nonlocal best_members, best_size, evals
         evals += 1
         if evals > budget:
-            aborted = True
-            return
+            raise _BudgetSpent
         size = len(chosen)
-        if size > best_size and satisfied(size, maxdeg, common, chosen):
-            best_size = size
-            best_members = list(chosen)
-        if size + len(cands_left) <= best_size:
-            return
-        if rho_cap is not None and maxdeg * rho_cap.denominator > rho_cap.numerator * (
-            size + len(cands_left)
-        ):
+        # the cap grows with |F|, so a degree over it at size + remaining is over it below
+        if size + len(cands_left) <= best_size or maxdeg > cap(size + len(cands_left)):
             return
         if nu_cap is not None and chosen and matching_number(
             SetFamily(n, k, chosen, _trusted=True)
         ) > nu_cap:
             return
+        if size > best_size and maxdeg <= cap(size):
+            best_size = size
+            best_members = list(chosen)
         if nontrivial:
             reach = common
             for c in cands_left:
@@ -139,6 +119,10 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
             dfs(chosen, new_cands, new_degs, new_max, common & cand)
             chosen.pop()
 
-    dfs([], list(cands), [0] * n, 0, full_mask)
+    try:
+        dfs([], list(cands), [0] * n, 0, (1 << n) - 1)
+        complete = True
+    except _BudgetSpent:
+        complete = False
     witness = SetFamily(n, k, sorted(best_members), _trusted=True)
-    return SearchResult(best_size, witness, complete=not aborted, evaluations=evals)
+    return SearchResult(best_size, witness, complete=complete, evaluations=evals)

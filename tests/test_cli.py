@@ -121,6 +121,13 @@ class TestShiftCommand:
         fam_file.write_text("4 2\n1,2\n3,4\n", encoding="utf-8")
         assert main(["shift", str(fam_file), "--prop", "intersecting"]) == 2
 
+    def test_zero_denominator_exit_2(self, tmp_path, capsys):
+        fam_file = tmp_path / "f.txt"
+        fam_file.write_text("4 2\n1,2\n3,4\n", encoding="utf-8")
+        assert main(["shift", str(fam_file), "--prop", "rho<=1/0"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: cannot parse property atom 'rho<=1/0'"]
+
 
 class TestLexShadow:
     def test_lex(self, capsys):
@@ -235,6 +242,16 @@ class TestVerifyCommand:
         ("--suite", {"entries": [{"id": "BINOM_1_11", "mode": "exhaustive", "grid": {
             "n": [2, 9, 1], "k": [1, 3], "i": [1, 2], "space": "grid"}}]},
          "grid dimension 'n' must be an int range"),
+        # a probability is a number (not a bool), and a count of draws is an int
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, instance={
+            "family": {"mode": "uniform", "n": 8, "k": 3, "density": "x"}})]},
+         "family spec field 'density' must be a number, got 'x'"),
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, instance={
+            "family": {"mode": "star-perturbation", "n": 8, "k": 3, "adds": 2.5}})]},
+         "family spec field 'adds' must be an int, got 2.5"),
+        ("--suite", {"entries": [dict(SAMPLE_ENTRY, id="HILTON", instance={
+            "pair": {"mode": "star-pair", "n": 8, "k": 3, "keep_b": True}})]},
+         "pair spec field 'keep_b' must be a number, got True"),
     ])
     def test_malformed_recipe_exit_2(self, tmp_path, capsys, option, payload, message):
         path = tmp_path / "bad.json"
@@ -442,6 +459,13 @@ class TestSearchCommand:
         assert rc == 3
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert not out["complete"] and out["evaluations"] == 51
+
+    @pytest.mark.parametrize("prop", ["rho<=1/0", "intersecting&rho<=x", "cross(0)"])
+    def test_malformed_prop_exit_2(self, capsys, prop):
+        assert main(["search", "--n", "5", "--k", "2", "--prop", prop]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "cannot parse property atom" in err[0]
+        assert prop.split("&")[-1] in err[0]
 
     def test_search_needs_dims(self):
         with pytest.raises(SystemExit) as exc:

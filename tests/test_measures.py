@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from extremal.core import SetFamily, enumerate_ksubsets, mask_of
+from extremal.core import SetFamily, enumerate_ksubsets, link, mask_of
 from extremal.constructions import fano, frankl_family, full_star, projective_plane
 from extremal.measures import (
     _min_intersection_over,
@@ -22,6 +22,7 @@ from extremal.measures import (
     is_saturated,
     is_t_intersecting,
     matching_number,
+    max_pair_degree,
     measure_profile,
     rho,
     saturate,
@@ -605,3 +606,23 @@ class TestIntersectionClosure:
     def test_r_below_two_rejected(self):
         with pytest.raises(ValueError):
             addable_r_wise(1)
+
+
+def reference_max_pair_degree(f):
+    """The largest link of a 2-set, one scan of the family per pair."""
+    best = 0
+    for p in enumerate_ksubsets(f.n, 2):
+        best = max(best, len(link(f, p)))
+    return best
+
+
+class TestMaxPairDegree:
+    @pytest.mark.parametrize("n, k", [(5, 2), (5, 3), (4, 1)])
+    def test_all_families(self, n, k):
+        for f in all_families(n, k):
+            assert max_pair_degree(f) == reference_max_pair_degree(f), f
+
+    @pytest.mark.parametrize("n, k, seed", [(8, 3, 31), (10, 4, 32), (10, 3, 33)])
+    def test_seeded_families(self, n, k, seed):
+        for f in seeded_families(random.Random(seed), n, k, 300):
+            assert max_pair_degree(f) == reference_max_pair_degree(f), f

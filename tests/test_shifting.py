@@ -10,6 +10,7 @@ from extremal import shifting
 from extremal.cli import parse_property_spec
 from extremal.core import SetFamily, enumerate_ksubsets, is_initial
 from extremal.measures import (
+    degree_vector,
     is_cross_t_intersecting,
     is_t_intersecting,
     matching_number,
@@ -24,6 +25,7 @@ from extremal.shifting import (
     PropertyAtom,
     RhoAtMost,
     TIntersecting,
+    degree_cap,
     shift,
     shift_ad_extremis,
     shift_resistant_pairs,
@@ -503,6 +505,28 @@ class TestIncrementalEngine:
         for prop in (Anything(), And((Anything(),)), And((RhoAtMost(0, Fraction(1)), Anything()))):
             with pytest.raises(TypeError, match="Anything"):
                 shift_ad_extremis((f,), prop)
+            with pytest.raises(TypeError, match="Anything"):
+                degree_cap(prop, 0)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_degree_cap_matches_guards_on_every_family(self, n):
+        guards = [
+            And((RhoAtMost(0, c), *extra))
+            for c in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(-1, 2))
+            for extra in ((), (NonTrivial(0),))
+        ]
+        caps = [degree_cap(prop, 0) for prop in guards]
+        masks = enumerate_ksubsets(n, 2)
+        held = 0
+        for bits in range(1 << len(masks)):
+            f = SetFamily(n, 2, [m for i, m in enumerate(masks) if bits >> i & 1], _trusted=True)
+            top = max(degree_vector(f), default=0)
+            for prop, cap in zip(guards, caps):
+                holds = prop.holds((f,))
+                assert (top <= cap(len(f))) == holds, (prop, f)
+                held += holds
+        # the empty family satisfies each rho cap and fails each non-triviality guard
+        assert 0 < held < len(guards) << len(masks)
 
     def test_every_shipped_atom_accepted(self):
         shipped = {
