@@ -88,6 +88,8 @@ def _parse_atom(tok: str, slots: int) -> list:
     if tok.startswith("cross(") and tok.endswith(")"):
         parts = [p.strip() for p in tok[len("cross(") : -1].split(",")]
         a, b = int(parts[0]), int(parts[1])
+        if not (0 <= a < slots and 0 <= b < slots):
+            raise ValueError(f"slot outside 0..{slots - 1}")
         t = 1
         if len(parts) == 3:
             t = int(parts[2].split("=")[-1])

@@ -3,7 +3,9 @@
 A k-set is a plain int whose bit i-1 encodes element i (elements are 1-based
 externally, bit positions 0-based internally).  A SetFamily is an immutable,
 canonically sorted collection of such masks with a declared ground-set size n
-and uniformity k.  All operations are pure functions.
+and uniformity k.  All operations are pure functions.  The one cached field,
+a family's answer to `is_initial` on all of [n], is derived from its members
+and idempotent, so caching it cannot change any result.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ class SetFamily:
 
     Members are stored as a duplicate-free tuple of masks in ascending numeric
     order (the canonical order).  Instances are immutable after construction
-    and safe to share across threads.
+    and safe to share across threads.  `_initial` caches `is_initial(self)`:
+    it is derived from the members, computed on first use and never changes.
     """
 
-    __slots__ = ("n", "k", "members")
+    __slots__ = ("n", "k", "members", "_initial")
 
     def __init__(self, n: int, k: int, members: Iterable[int] = (), *, _trusted: bool = False):
         n = int(n)
@@ -94,6 +97,7 @@ class SetFamily:
         self.n = n
         self.k = k
         self.members = ms
+        self._initial = None
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -200,15 +204,21 @@ def meet(fam: SetFamily, p) -> SetFamily:
     return SetFamily(fam.n, fam.k, (m for m in fam.members if m & pm), _trusted=True)
 
 
-def _unit_predecessors(mask: int) -> Iterator[int]:
-    # Covers of the shifting order are single-element decrements y -> y-1;
-    # closure under covers equals downward closure.
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        if low > 1 and not mask & (low >> 1):
-            yield (mask ^ low) | (low >> 1)
+def _predecessors(members: Iterable[int], upto: int) -> Iterator[int]:
+    """The unit predecessors of each mask in `members`, in order.
+
+    A unit predecessor replaces an element y in [2, upto] by y-1 when y-1 is
+    absent, that is `mask - (low >> 1)` for each bit `low` of
+    `mask & ~(mask << 1)` on [2, upto].  These are the covers of the shifting
+    order, so closure under them is downward closure.
+    """
+    movable = ((1 << max(upto, 0)) - 1) & ~1
+    for mask in members:
+        steps = mask & ~(mask << 1) & movable
+        while steps:
+            low = steps & -steps
+            yield mask - (low >> 1)
+            steps ^= low
 
 
 def is_initial(fam: SetFamily, upto: int | None = None) -> bool:
@@ -216,19 +226,15 @@ def is_initial(fam: SetFamily, upto: int | None = None) -> bool:
 
     Equivalently, every (i,j)-shift with j <= upto (default n) fixes the
     family: the pairs that `shift_ad_extremis(..., upto=upto)` runs over.
+    The answer on all of [n] is cached on the family.
     """
-    if upto is None:
-        upto = fam.n
-    elif upto > fam.n:
+    if upto is None or upto == fam.n:
+        if fam._initial is None:
+            fam._initial = set(fam.members).issuperset(_predecessors(fam.members, fam.n))
+        return fam._initial
+    if upto > fam.n:
         raise ValueError(f"upto={upto} exceeds n={fam.n}")
-    # a unit predecessor replaces some y by y-1; it counts only when y <= upto
-    limit = 1 << max(upto, 0)
-    have = set(fam.members)
-    for mem in fam.members:
-        for pred in _unit_predecessors(mem):
-            if pred not in have and mem ^ pred < limit:
-                return False
-    return True
+    return set(fam.members).issuperset(_predecessors(fam.members, upto))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from math import comb, prod
 from operator import ge
 
 from ..constructions import brace_daykin, full_star
-from ..core import SetFamily, enumerate_ksubsets
-from ..core import _unit_predecessors
+from ..core import SetFamily, _predecessors, enumerate_ksubsets
 from ..measures import (
     addable_r_wise,
     addable_t_intersecting,
@@ -284,7 +283,8 @@ def initial_families(n: int, k: int):
     """All initial families as ascending member-mask tuples (downset enumeration)."""
     masks = enumerate_ksubsets(n, k)
     index = {m: i for i, m in enumerate(masks)}
-    preds = [tuple(index[p] for p in _unit_predecessors(m)) for m in masks]
+    # need[i]: the bits of k-set i's unit predecessors, each of which must be chosen before it
+    need = [sum(1 << index[p] for p in _predecessors((m,), n)) for m in masks]
     m_count = len(masks)
     out = []
     stack = [(0, 0)]
@@ -294,7 +294,7 @@ def initial_families(n: int, k: int):
             out.append(tuple(_decode(chosen, masks)))
             continue
         stack.append((i + 1, chosen))
-        if all(chosen >> p & 1 for p in preds[i]):
+        if chosen & need[i] == need[i]:
             stack.append((i + 1, chosen | (1 << i)))
     out.sort()
     return out
@@ -317,6 +317,15 @@ def _cross_rows(n: int, k: int, l: int, t: int) -> tuple[dict, tuple[int, ...]]:
 def _dual(abits: int, compat: tuple[int, ...]) -> int:
     """The B-members t-compatible with every A-member in `abits`, as a bit set over rows."""
     return sum(1 << j for j, row in enumerate(compat) if not abits & ~row)
+
+
+# the exhaustive spaces whose instances each statement kind can read
+_KIND_SPACES = {
+    "family": ("families", "initial"),
+    "pair": ("initial-pairs", "dual-pairs"),
+    "numeric": ("grid",),
+    "slices": (),
+}
 
 
 def _space(space: str, grid: dict, params: dict):
@@ -387,10 +396,12 @@ def _space(space: str, grid: dict, params: dict):
 
         def stream():
             left, right = listed or both()
-            for a in left:
-                fa = fam(k, a)
-                for b in right:
-                    yield Instance((fa, fam(l, b)), dict(params))
+            # each family is built once, so its cached `is_initial` serves every pair it is in
+            fams_a = [fam(k, a) for a in left]
+            fams_b = [fam(l, b) for b in right] if right is not left else fams_a
+            for fa in fams_a:
+                for fb in fams_b:
+                    yield Instance((fa, fb), dict(params))
 
         if listed is None:
             return 2**m * 2 ** comb(n, l), False, stream()
@@ -514,6 +525,11 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
     grid = dict(grid)
     space = grid.pop("space", None) or stmt.default_space
     params = parse_params(grid.pop("params", {}))
+    if space not in _KIND_SPACES[stmt.kind]:
+        allowed = ", ".join(_KIND_SPACES[stmt.kind]) or "none"
+        raise ValueError(
+            f"{sid} is a {stmt.kind} statement; the spaces it may sweep: {allowed}; got {space!r}"
+        )
     config = {
         "id": sid,
         "mode": "exhaustive",

@@ -128,6 +128,24 @@ class TestShiftCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: cannot parse property atom 'rho<=1/0'"]
 
+    @pytest.mark.parametrize("files, prop", [
+        (1, "cross(0,1)"),
+        (1, "cross(-1,0)"),
+        (2, "cross(0,2)"),
+        (2, "rho<=1/2&cross(1,-2,t=1)"),
+    ])
+    def test_cross_slot_outside_files_exit_2(self, tmp_path, capsys, files, prop):
+        paths = []
+        for idx in range(files):
+            path = tmp_path / f"f{idx}.txt"
+            path.write_text("4 2\n1,2\n1,3\n", encoding="utf-8")
+            paths.append(str(path))
+        assert main(["shift", *paths, "--prop", prop,
+                     "--out-prefix", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        bad = prop.split("&")[-1]
+        assert err == [f"error: cannot parse property atom '{bad}'"]
+
 
 class TestLexShadow:
     def test_lex(self, capsys):
@@ -275,6 +293,24 @@ class TestVerifyCommand:
         assert main(["verify", *argv]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and message in err[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--id", "LEM_3_7", "--exhaustive", "n=5,k=2"],
+         "LEM_3_7 is a pair statement; the spaces it may sweep: initial-pairs, dual-pairs; "
+         "got 'families'"),
+        (["--id", "FACT_3_1", "--exhaustive", "n=6,k=3,space=initial"],
+         "FACT_3_1 is a pair statement; the spaces it may sweep: initial-pairs, dual-pairs; "
+         "got 'initial'"),
+        (["--id", "EQ_2_1", "--exhaustive", "n=6,k=3,space=initial-pairs"],
+         "EQ_2_1 is a family statement; the spaces it may sweep: families, initial; "
+         "got 'initial-pairs'"),
+        (["--id", "BD_5_1", "--exhaustive", "n=5,k=2"],
+         "BD_5_1 is a slices statement; the spaces it may sweep: none; got 'families'"),
+    ])
+    def test_space_of_another_kind_exit_2(self, capsys, argv, message):
+        assert main(["verify", *argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
 
     @pytest.mark.parametrize("space", ["", ",space=initial"])
     @pytest.mark.parametrize("l", ["1/2", "-1/3"])

@@ -31,6 +31,28 @@ def reference_shift_order_leq(p, q):
     return all(a <= b for a, b in zip(elems_of(p), elems_of(q)))
 
 
+def reference_unit_predecessors(mask):
+    """The old generator: each element y >= 2 of `mask` with y-1 absent, moved to y-1."""
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        if low > 1 and not mask & (low >> 1):
+            yield (mask ^ low) | (low >> 1)
+
+
+def reference_is_initial(f, upto=None):
+    """The old `is_initial` loop: every unit predecessor that moves an element y <= upto is in f."""
+    upto = f.n if upto is None else upto
+    limit = 1 << max(upto, 0)
+    have = set(f.members)
+    return all(
+        pred in have or mem ^ pred >= limit
+        for mem in f.members
+        for pred in reference_unit_predecessors(mem)
+    )
+
+
 def fam(n, k, *sets):
     return SetFamily.from_sets(n, k, sets)
 
@@ -195,6 +217,42 @@ class TestInitial:
                 if reference_shift_order_leq(p, g)
             )
             assert is_initial(f) == oracle
+
+    def test_bit_rule_matches_reference_on_small_spaces(self):
+        # every family with C(n,k) <= 12, every upto in -1..n and the default
+        families = 0
+        for n in range(2, 13):
+            for k in range(n + 1):
+                masks = enumerate_ksubsets(n, k)
+                if len(masks) > 12:
+                    continue
+                for bits in range(1 << len(masks)):
+                    members = [m for i, m in enumerate(masks) if bits >> i & 1]
+                    f = SetFamily(n, k, members, _trusted=True)
+                    want = [reference_is_initial(f, upto) for upto in range(-1, n + 1)]
+                    # the partial answers before and after the cached one on [n]
+                    assert [is_initial(f, upto) for upto in range(-1, n)] == want[:-1]
+                    assert is_initial(f) == want[-1] and f._initial is want[-1]
+                    assert is_initial(f, n) == want[-1]
+                    assert [is_initial(f, upto) for upto in range(-1, n)] == want[:-1]
+                    assert is_initial(SetFamily(n, k, members, _trusted=True), n) == want[-1]
+                    families += 1
+        assert families == 18_528
+
+    def test_cached_answer_does_not_leak_into_upto(self):
+        # {1,3} lacks its predecessor {1,2}, which moves 3 -> 2: initial on [2], not on [4]
+        f = fam(4, 2, (1, 3))
+        assert is_initial(f, 2) and f._initial is None
+        assert not is_initial(f)
+        assert f._initial is False
+        assert is_initial(f, 2)
+        assert not is_initial(f, 4)
+        # a cached True on [n] is not read for a smaller upto either
+        g = fam(4, 2, (1, 2), (1, 3))
+        assert is_initial(g) and g._initial is True
+        assert is_initial(g, 1) and is_initial(g, -1) and is_initial(g, 4)
+        with pytest.raises(ValueError):
+            is_initial(g, 5)
 
     def test_initial_degree_monotone(self):
         from extremal.measures import degree

@@ -36,7 +36,7 @@ from extremal.verify import (
     sample_sweep,
     search_max,
 )
-from extremal.verify.recipes import RECIPES, recipe_for
+from extremal.verify.recipes import RECIPES, recipe_for, suite_config
 from extremal.verify.registry import binom_half, binom_n_minus_i
 
 
@@ -239,6 +239,33 @@ class TestSweeps:
                 "base": {"mode": "uniform", "n": 9, "k": 3}}
         with pytest.raises(ValueError, match="unknown pair mode"):
             gen_pair(random.Random(1), spec)
+
+    @pytest.mark.parametrize(
+        "sid,grid",
+        [
+            ("LEM_3_7", {"n": 5, "k": 2}),  # a pair statement whose default is `families`
+            ("LEM_3_7", {"n": 9, "k": 3}),  # refused before a 2**84 space is sized
+            ("FACT_3_1", {"n": 6, "k": 3, "space": "initial"}),
+            ("EQ_2_1", {"n": 6, "k": 3, "space": "initial-pairs"}),
+            ("MATCHING_COR", {"n": 6, "k": 3, "space": "dual-pairs"}),
+            ("BD_5_1", {"n": 5, "k": 2}),
+            ("BINOM_1_11", {"n": 5, "k": 2, "space": "families"}),
+            ("KATONA", {"n": 4, "k": 2, "space": "grid", "params": {"t": 1, "l": 1}}),
+        ],
+    )
+    def test_space_must_match_kind(self, sid, grid):
+        with pytest.raises(ValueError, match=f"{sid} is a {REGISTRY[sid].kind} statement; "
+                                             "the spaces it may sweep: "):
+            exhaustive_sweep(sid, grid, budget=10)
+
+    def test_kind_table_covers_registry_and_suite(self):
+        from extremal.verify.harness import _KIND_SPACES
+
+        assert {stmt.kind for stmt in REGISTRY.values()} == set(_KIND_SPACES)
+        for entry in suite_config()["entries"]:
+            if entry["mode"] == "exhaustive":
+                stmt = REGISTRY[entry["id"]]
+                assert entry["grid"].get("space", stmt.default_space) in _KIND_SPACES[stmt.kind]
 
     @pytest.mark.parametrize("threads", [0, 2, -3])
     def test_threads_other_than_one_refused(self, threads):
@@ -742,6 +769,60 @@ class TestSpaces:
         rep = exhaustive_sweep(sid, grid)
         assert rep["result"]["totals"]["fail"] == 0
         assert calls == [(grid["n"], grid["k"])]
+
+
+def reference_initial_families(n, k):
+    """The old downset lister: a k-set joins once every one of its unit predecessors is in."""
+
+    def unit_predecessors(mask):
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            if low > 1 and not mask & (low >> 1):
+                yield (mask ^ low) | (low >> 1)
+
+    masks = enumerate_ksubsets(n, k)
+    index = {m: i for i, m in enumerate(masks)}
+    preds = [tuple(index[p] for p in unit_predecessors(m)) for m in masks]
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        i, chosen = stack.pop()
+        if i == len(masks):
+            out.append(tuple(m for j, m in enumerate(masks) if chosen >> j & 1))
+            continue
+        stack.append((i + 1, chosen))
+        if all(chosen >> p & 1 for p in preds[i]):
+            stack.append((i + 1, chosen | (1 << i)))
+    out.sort()
+    return out
+
+
+class TestInitialFamilies:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reference(self, n):
+        for k in range(n + 1):
+            assert initial_families(n, k) == reference_initial_families(n, k), (n, k)
+
+    def test_matches_reference_at_9_3(self):
+        got = initial_families(9, 3)
+        assert len(got) == 21_760
+        assert got == reference_initial_families(9, 3)
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_pair_space_shares_family_objects(self, l):
+        from extremal.verify.harness import _space
+
+        count, exact, stream = _space("initial-pairs", {"n": 5, "k": 2, "l": l}, {})
+        pairs = [inst.families for inst in stream]
+        assert exact and count == len(pairs)
+        # one object per family, so each is proven initial once per sweep
+        lefts = {id(a) for a, _ in pairs}
+        rights = {id(b) for _, b in pairs}
+        assert len(lefts) == len(initial_families(5, 2))
+        assert len(rights) == len(initial_families(5, l))
+        assert (lefts == rights) == (l == 2)
 
 
 def reference_dual_members(a_fam, l, t):
