@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("verify", help="run statement sweeps")
     p.add_argument("--id", help="statement id (or comma list with --suite and --rerun)")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exhaustive", help="grid, e.g. n=5,k=2,t=1[,space=initial]")
+    mode.add_argument("--exhaustive", help="grid, e.g. n=5,k=2,t=1[,space=initial]; space "
+                      "defaults to the statement's, else families, dual-pairs or grid by kind")
     mode.add_argument("--sample", nargs="?", const="",
                       help="the id's shipped sample recipe, with overrides such as "
                       "n=24,k=3,d=2,count=200,seed=7")

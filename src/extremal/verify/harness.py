@@ -246,19 +246,23 @@ def _draw_params(rng: random.Random, draws: dict, n: int) -> dict:
     return out
 
 
+# per statement kind: the generator of the instance spec's field of that name (numeric: none),
+# and the exhaustive spaces the kind may sweep, its default first
+_KINDS = {
+    "family": (lambda rng, spec: (gen_family(rng, spec),), ("families", "initial")),
+    "pair": (gen_pair, ("dual-pairs", "initial-pairs")),
+    "numeric": (None, ("grid",)),
+    "slices": (gen_slices, ()),
+}
+
+
 def make_instance(rng: random.Random, sid: str, inst_spec: dict) -> Instance:
     stmt = REGISTRY[sid]
-    _need(inst_spec, f"{sid} instance", *(() if stmt.kind == "numeric" else (stmt.kind,)))
+    generate = _KINDS[stmt.kind][0]
+    _need(inst_spec, f"{sid} instance", *((stmt.kind,) if generate else ()))
     # params first, so that an inexact param is named before a generator reads its namesake
     params = parse_params(inst_spec.get("params", {}))
-    if stmt.kind == "family":
-        fams: tuple[SetFamily, ...] = (gen_family(rng, inst_spec["family"]),)
-    elif stmt.kind == "pair":
-        fams = gen_pair(rng, inst_spec["pair"])
-    elif stmt.kind == "slices":
-        fams = gen_slices(rng, inst_spec["slices"])
-    else:
-        fams = ()
+    fams = generate(rng, inst_spec[stmt.kind]) if generate else ()
     n = fams[0].n if fams else inst_spec.get("n", 8)
     params.update(_draw_params(rng, inst_spec.get("draw", {}), n))
     return Instance(fams, params)
@@ -280,23 +284,24 @@ def _decode(bits: int, masks) -> list[int]:
 
 
 def initial_families(n: int, k: int):
-    """All initial families as ascending member-mask tuples (downset enumeration)."""
+    """All initial families as ascending member-mask tuples, in ascending order.
+
+    Pre-order: a family, then its extensions by each later k-set whose unit
+    predecessors (smaller masks) it holds, so each family is met once, in order.
+    """
     masks = enumerate_ksubsets(n, k)
     index = {m: i for i, m in enumerate(masks)}
     # need[i]: the bits of k-set i's unit predecessors, each of which must be chosen before it
     need = [sum(1 << index[p] for p in _predecessors((m,), n)) for m in masks]
-    m_count = len(masks)
     out = []
-    stack = [(0, 0)]
+    # an explicit stack, since a family can hold all C(n, k) k-sets
+    stack = [((), 0, 0)]
     while stack:
-        i, chosen = stack.pop()
-        if i == m_count:
-            out.append(tuple(_decode(chosen, masks)))
-            continue
-        stack.append((i + 1, chosen))
-        if chosen & need[i] == need[i]:
-            stack.append((i + 1, chosen | (1 << i)))
-    out.sort()
+        members, chosen, start = stack.pop()
+        out.append(members)
+        for i in range(len(masks) - 1, start - 1, -1):
+            if chosen & need[i] == need[i]:
+                stack.append((members + (masks[i],), chosen | 1 << i, i + 1))
     return out
 
 
@@ -319,16 +324,20 @@ def _dual(abits: int, compat: tuple[int, ...]) -> int:
     return sum(1 << j for j, row in enumerate(compat) if not abits & ~row)
 
 
-# the exhaustive spaces whose instances each statement kind can read
-_KIND_SPACES = {
-    "family": ("families", "initial"),
-    "pair": ("initial-pairs", "dual-pairs"),
-    "numeric": ("grid",),
-    "slices": (),
-}
+def _over_budget(estimate, exact: bool, budget: int) -> BudgetError:
+    bound = "" if exact else " (an upper bound: the space is too large to count)"
+    return BudgetError(f"estimated {estimate} evaluations{bound} exceed budget {budget}")
 
 
-def _space(space: str, grid: dict, params: dict):
+def _power_of_two(exponent: int, exact: bool, budget: int) -> int:
+    """2**exponent, refused from the exponent, before it is formed, past the budget."""
+    # int(): a budget read from a suite file or report may be a JSON float such as 1e8
+    if exponent >= int(budget).bit_length():
+        raise _over_budget(f"2**{exponent + 1}", exact, budget)
+    return 1 << exponent
+
+
+def _space(space: str, grid: dict, params: dict, budget: int):
     """Instance count, whether it is exact, and the instance stream of one space.
 
     Each space is built once, when its count is exact.  Past the size caps the
@@ -374,7 +383,7 @@ def _space(space: str, grid: dict, params: dict):
             for bits in range(1 << m):
                 yield Instance((fam(k, _decode(bits, masks)),), dict(params))
 
-        return 2**m, True, stream()
+        return _power_of_two(m, True, budget), True, stream()
     # downset enumeration is output-sensitive, so exact counts stay cheap
     if space == "initial":
         listed = initial_families(n, k) if m <= 70 else None
@@ -384,7 +393,7 @@ def _space(space: str, grid: dict, params: dict):
                 yield Instance((fam(k, members),), dict(params))
 
         if listed is None:
-            return 2**m, False, stream()
+            return _power_of_two(m, False, budget), False, stream()
         return len(listed), True, stream()
     if space == "initial-pairs":
 
@@ -404,7 +413,7 @@ def _space(space: str, grid: dict, params: dict):
                     yield Instance((fa, fb), dict(params))
 
         if listed is None:
-            return 2**m * 2 ** comb(n, l), False, stream()
+            return _power_of_two(m + comb(n, l), False, budget), False, stream()
         return len(listed[0]) * len(listed[1]), True, stream()
     if space == "dual-pairs":
         t = params.get("t", 1)
@@ -424,7 +433,7 @@ def _space(space: str, grid: dict, params: dict):
                     sub = (sub - 1) & dual
 
         if m > 22:
-            return 4**m, False, stream()
+            return _power_of_two(2 * m, False, budget), False, stream()
         compat = _cross_rows(n, k, l, t)[1]
         return sum(1 << _dual(abits, compat).bit_count() for abits in range(1 << m)), True, stream()
     raise ValueError(f"unknown space {space!r}")
@@ -523,24 +532,22 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
     stmt = REGISTRY[sid]
     budget = budget if budget is not None else DEFAULT_BUDGET
     grid = dict(grid)
-    space = grid.pop("space", None) or stmt.default_space
+    spaces = _KINDS[stmt.kind][1]
+    space = grid.pop("space", None) or stmt.default_space or next(iter(spaces), None)
     params = parse_params(grid.pop("params", {}))
-    if space not in _KIND_SPACES[stmt.kind]:
-        allowed = ", ".join(_KIND_SPACES[stmt.kind]) or "none"
-        raise ValueError(
-            f"{sid} is a {stmt.kind} statement; the spaces it may sweep: {allowed}; got {space!r}"
-        )
+    if space not in spaces:
+        got = "" if space is None else f"; got {space!r}"
+        raise ValueError(f"{sid} is a {stmt.kind} statement; the spaces it may sweep: "
+                         f"{', '.join(spaces) or 'none'}{got}")
     config = {
         "id": sid,
         "mode": "exhaustive",
         "grid": {**grid, "space": space, "params": {k: param_repr(v) for k, v in params.items()}},
         "budget": budget,
     }
-    count, exact, instances = _space(space, grid, params)
-    est = 2 * count
-    if est > budget:
-        bound = "" if exact else " (an upper bound: the space is too large to count)"
-        raise BudgetError(f"estimated {est} evaluations{bound} exceed budget {budget}")
+    count, exact, instances = _space(space, grid, params, budget)
+    if 2 * count > budget:
+        raise _over_budget(2 * count, exact, budget)
     if sid == "KRUSKAL_KATONA" and space == "families":
         return _kk_exhaustive(grid["n"], grid["k"], params, config)
     return _consume(sid, instances, config, budget)

@@ -129,7 +129,7 @@ class Statement:
     conclusion: Callable[[Instance], bool]
     description: str
     extras: Callable[[Instance], dict] | None = None
-    default_space: str = "families"
+    default_space: str | None = None  # None: its kind's first space in harness._KINDS
 
 
 @dataclass
@@ -237,7 +237,7 @@ def _slices_members(inst: Instance) -> list[int]:
 REGISTRY: dict[str, Statement] = {}
 
 
-def _register(sid, kind, hypothesis, conclusion, description, extras=None, default_space="families"):
+def _register(sid, kind, hypothesis, conclusion, description, extras=None, default_space=None):
     REGISTRY[sid] = Statement(sid, kind, hypothesis, conclusion, description, extras, default_space)
 
 
@@ -384,7 +384,6 @@ _register(
     or is_pseudo_t_intersecting(_f(i), i.params["t"] + 1)
     or is_pseudo_t_intersecting(_g(i), i.params["t"] + 1),
     "cross t-intersecting pairs are pseudo t, or one is pseudo t+1",
-    default_space="dual-pairs",
 )
 
 
@@ -404,7 +403,6 @@ _register(
         or len(_cor_sizes(i)[0]) <= comb0(_f(i).n, _f(i).k - i.params["t"] - 1)
     ),
     "cross t-intersecting: the larger is walk-bounded or the smaller drops a level",
-    default_space="dual-pairs",
 )
 
 _register(
@@ -479,7 +477,6 @@ _register(
     and _cross(i),
     lambda i: len(_f(i)) + len(_g(i)) <= 2 * comb0(_f(i).n - 1, _f(i).k - 1),
     "nonempty cross-intersecting pair: total at most twice the star",
-    default_space="dual-pairs",
 )
 
 _register(
@@ -525,7 +522,6 @@ _register(
     lambda i: len(_f(i)) * len(_g(i))
     <= comb0(_f(i).n - i.params["t"], _f(i).k - i.params["t"]) ** 2,
     "cross t-intersecting product bound below the diluted ratio",
-    default_space="dual-pairs",
 )
 
 
@@ -792,7 +788,6 @@ _register(
     and _cross(i),
     lambda i: lex_cross_intersecting(_f(i).n, _f(i).k, _g(i).k, len(_f(i)), len(_g(i))),
     "lex segments of cross-intersecting sizes stay cross-intersecting",
-    default_space="dual-pairs",
 )
 
 
@@ -850,7 +845,6 @@ _register(
         )
     ),
     "for cross t-intersecting pairs one shadow inequality holds",
-    default_space="dual-pairs",
 )
 
 _register(
@@ -913,7 +907,6 @@ _register(
     lambda i: 0 < i.params["a"] <= i.params["A"] and 0 < i.params["b"] <= i.params["B"],
     lambda i: check_fact_3_13(i.params["a"], i.params["A"], i.params["b"], i.params["B"]),
     "mediant-style inequality for positive rationals",
-    default_space="grid",
 )
 
 _register(
@@ -922,7 +915,6 @@ _register(
     lambda i: binom_n_minus_i(i.params["n"], i.params["k"], i.params["i"]) is not None,
     lambda i: binom_n_minus_i(i.params["n"], i.params["k"], i.params["i"]),
     "derangement-free lower bound for shifted binomials",
-    default_space="grid",
 )
 
 _register(
@@ -931,7 +923,6 @@ _register(
     lambda i: binom_half(i.params["n"], i.params["k"], i.params["t"]) is not None,
     lambda i: binom_half(i.params["n"], i.params["k"], i.params["t"]),
     "halving bound for shifted binomials in range",
-    default_space="grid",
 )
 
 

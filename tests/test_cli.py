@@ -24,7 +24,7 @@ SAMPLE_ENTRY = {"id": "KATONA", "mode": "sample", "count": 2, "seed": 1,
                 "instance": RECIPES["KATONA"]["instance"]}
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, **kwargs):
     # A relative PYTHONPATH (e.g. "src") would resolve against cwd in the
     # child, so put the absolute src directory first.
     env = dict(os.environ)
@@ -37,6 +37,7 @@ def run_cli(args, cwd):
         text=True,
         cwd=cwd,
         env=env,
+        **kwargs,
     )
 
 
@@ -295,22 +296,43 @@ class TestVerifyCommand:
         assert len(err) == 1 and message in err[0]
 
     @pytest.mark.parametrize("argv, message", [
-        (["--id", "LEM_3_7", "--exhaustive", "n=5,k=2"],
-         "LEM_3_7 is a pair statement; the spaces it may sweep: initial-pairs, dual-pairs; "
+        (["--id", "LEM_3_7", "--exhaustive", "n=5,k=2,space=families"],
+         "LEM_3_7 is a pair statement; the spaces it may sweep: dual-pairs, initial-pairs; "
          "got 'families'"),
         (["--id", "FACT_3_1", "--exhaustive", "n=6,k=3,space=initial"],
-         "FACT_3_1 is a pair statement; the spaces it may sweep: initial-pairs, dual-pairs; "
+         "FACT_3_1 is a pair statement; the spaces it may sweep: dual-pairs, initial-pairs; "
          "got 'initial'"),
         (["--id", "EQ_2_1", "--exhaustive", "n=6,k=3,space=initial-pairs"],
          "EQ_2_1 is a family statement; the spaces it may sweep: families, initial; "
          "got 'initial-pairs'"),
         (["--id", "BD_5_1", "--exhaustive", "n=5,k=2"],
-         "BD_5_1 is a slices statement; the spaces it may sweep: none; got 'families'"),
+         "BD_5_1 is a slices statement; the spaces it may sweep: none"),
     ])
     def test_space_of_another_kind_exit_2(self, capsys, argv, message):
         assert main(["verify", *argv]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {message}"]
+
+    @pytest.mark.parametrize("space", ["", ",space=dual-pairs"])
+    def test_pair_statement_defaults_to_dual_pairs(self, capsys, space):
+        assert main(["verify", "--id", "LEM_3_7", "--exhaustive", f"n=5,k=2{space}"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == ["id=LEM_3_7 pass=0 vacuous=6212 fail=0 budget_used=12424"]
+
+    @pytest.mark.parametrize("grid", ["n=40,k=20,t=1", "n=40,k=20,t=1,space=initial"])
+    def test_huge_space_refused_from_its_exponent(self, tmp_path, grid):
+        resource = pytest.importorskip("resource")
+        gib = 1 << 30
+
+        def limit_memory():
+            # 2**C(40,20) as an int would take 17 GB; forming it fails fast under 1 GB
+            resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+        proc = run_cli(["verify", "--id", "EKR_1_1", "--exhaustive", grid], cwd=tmp_path,
+                       preexec_fn=limit_memory, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: estimated 2**137846528821 evaluations")
+        assert proc.stderr.rstrip().endswith("exceed budget 100000000")
 
     @pytest.mark.parametrize("space", ["", ",space=initial"])
     @pytest.mark.parametrize("l", ["1/2", "-1/3"])

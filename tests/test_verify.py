@@ -243,8 +243,8 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "sid,grid",
         [
-            ("LEM_3_7", {"n": 5, "k": 2}),  # a pair statement whose default is `families`
-            ("LEM_3_7", {"n": 9, "k": 3}),  # refused before a 2**84 space is sized
+            ("LEM_3_7", {"n": 5, "k": 2, "space": "initial"}),
+            ("LEM_3_7", {"n": 9, "k": 3, "space": "families"}),  # refused before 2**84 is sized
             ("FACT_3_1", {"n": 6, "k": 3, "space": "initial"}),
             ("EQ_2_1", {"n": 6, "k": 3, "space": "initial-pairs"}),
             ("MATCHING_COR", {"n": 6, "k": 3, "space": "dual-pairs"}),
@@ -259,13 +259,23 @@ class TestSweeps:
             exhaustive_sweep(sid, grid, budget=10)
 
     def test_kind_table_covers_registry_and_suite(self):
-        from extremal.verify.harness import _KIND_SPACES
+        from extremal.verify.harness import _KINDS
 
-        assert {stmt.kind for stmt in REGISTRY.values()} == set(_KIND_SPACES)
+        assert {stmt.kind for stmt in REGISTRY.values()} == set(_KINDS)
         for entry in suite_config()["entries"]:
             if entry["mode"] == "exhaustive":
                 stmt = REGISTRY[entry["id"]]
-                assert entry["grid"].get("space", stmt.default_space) in _KIND_SPACES[stmt.kind]
+                spaces = _KINDS[stmt.kind][1]
+                default = stmt.default_space or spaces[0]
+                assert entry["grid"].get("space", default) in spaces
+
+    def test_default_space_is_of_its_kind_and_not_restated(self):
+        from extremal.verify.harness import _KINDS
+
+        for stmt in REGISTRY.values():
+            spaces = _KINDS[stmt.kind][1]
+            # None resolves to the kind's first space; a named default must be another of them
+            assert stmt.default_space is None or stmt.default_space in spaces[1:], stmt.id
 
     @pytest.mark.parametrize("threads", [0, 2, -3])
     def test_threads_other_than_one_refused(self, threads):
@@ -742,7 +752,7 @@ class TestSpaces:
     def test_space_matches_oracle(self, space, grid, params):
         from extremal.verify.harness import _space
 
-        count, exact, stream = _space(space, grid, params)
+        count, exact, stream = _space(space, grid, params, 10**8)
         got = list(stream)
         assert exact
         assert count == len(got)
@@ -814,7 +824,7 @@ class TestInitialFamilies:
     def test_pair_space_shares_family_objects(self, l):
         from extremal.verify.harness import _space
 
-        count, exact, stream = _space("initial-pairs", {"n": 5, "k": 2, "l": l}, {})
+        count, exact, stream = _space("initial-pairs", {"n": 5, "k": 2, "l": l}, {}, 10**8)
         pairs = [inst.families for inst in stream]
         assert exact and count == len(pairs)
         # one object per family, so each is proven initial once per sweep
@@ -941,7 +951,8 @@ class TestKruskalKatonaSweep:
         from extremal.verify.harness import _consume, _space
 
         res = kk_sweep(4, 2, {"l": l})
-        generic = _consume("KRUSKAL_KATONA", _space("families", {"n": 4, "k": 2}, {"l": l})[2],
+        generic = _consume("KRUSKAL_KATONA",
+                           _space("families", {"n": 4, "k": 2}, {"l": l}, 10**8)[2],
                            {}, 10**8)["result"]
         assert {key: res[key] for key in KK_KEYS} == {key: generic[key] for key in KK_KEYS}
         assert res["totals"] == {"pass": 0, "vacuous": 64, "fail": 0}
