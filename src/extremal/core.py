@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 MAX_GROUND = 63
 
@@ -221,6 +221,16 @@ def _predecessors(members: Iterable[int], upto: int) -> Iterator[int]:
             steps ^= low
 
 
+def is_closed(members: AbstractSet[int], upto: int) -> bool:
+    """True iff `members` holds every unit predecessor on [upto] of each of its masks.
+
+    That is downward closure under the shifting order on [upto], so every
+    (i,j)-shift with j <= upto fixes the members.  Stops at the first
+    missing predecessor.
+    """
+    return members.issuperset(_predecessors(members, upto))
+
+
 def is_initial(fam: SetFamily, upto: int | None = None) -> bool:
     """True iff the family is downward closed under the shifting order on [upto].
 
@@ -230,11 +240,11 @@ def is_initial(fam: SetFamily, upto: int | None = None) -> bool:
     """
     if upto is None or upto == fam.n:
         if fam._initial is None:
-            fam._initial = set(fam.members).issuperset(_predecessors(fam.members, fam.n))
+            fam._initial = is_closed(set(fam.members), fam.n)
         return fam._initial
     if upto > fam.n:
         raise ValueError(f"upto={upto} exceeds n={fam.n}")
-    return set(fam.members).issuperset(_predecessors(fam.members, upto))
+    return is_closed(set(fam.members), upto)
 
 
 # ---------------------------------------------------------------------------

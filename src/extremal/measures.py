@@ -201,28 +201,39 @@ def is_pseudo_t_intersecting(fam: SetFamily, t: int) -> bool:
 
 
 def matching_number(fam: SetFamily) -> int:
-    """Maximum number of pairwise disjoint members, by exact branch and bound."""
+    """Maximum number of pairwise disjoint members, by exact branch and bound.
+
+    A node's candidates are the later members disjoint from all it has chosen,
+    and its bound is its count plus min(candidates, |their union| // k).  A
+    node is cut when the best so far reaches that bound, and a node stops
+    trying further children as soon as a child brings the best up to it.  So
+    the search ends as soon as it finds min(|F|, |union of F| // k) disjoint
+    members.
+    """
     ms = fam.members
     if not ms:
         return 0
     k = fam.k
-    n = fam.n
     best = 0
 
-    def dfs(cands: Sequence[int], used: int, count: int) -> None:
+    def dfs(cands: Sequence[int], count: int) -> None:
         nonlocal best
         if count > best:
             best = count
-        free = n - used.bit_count()
-        cap = count + min(len(cands), free // k if k else 0)
+        reach = 0
+        for c in cands:
+            reach |= c
+        cap = count + min(len(cands), reach.bit_count() // k if k else 0)
         if cap <= best:
             return
         for idx, m in enumerate(cands):
             if count + len(cands) - idx <= best:
                 break
-            dfs([c for c in cands[idx + 1 :] if not c & m], used | m, count + 1)
+            dfs([c for c in cands[idx + 1 :] if not c & m], count + 1)
+            if best >= cap:
+                return
 
-    dfs(ms, 0, 0)
+    dfs(ms, 0)
     return best
 
 

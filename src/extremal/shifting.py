@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import SetFamily
+from .core import SetFamily, is_closed
 from .measures import (
     degree_vector,
     is_cross_t_intersecting,
@@ -222,6 +222,12 @@ def shift_ad_extremis(
     fixes all slots or would break the property.  The pairs blocked in the final
     pass, which applies no shift, are the trace's resistant pairs.
 
+    The loop also ends, before a pass, when the last pass blocked no pair (or
+    none has run yet) and every slot is closed under unit predecessors on
+    [upto] (`core.is_closed`): every pair then fixes every slot, so that pass
+    would apply no shift and block no pair, and the resistant list is empty.
+    An initial input thus examines no pair at all.
+
     Each slot is kept as a member set, a degree vector and a running weight;
     a step moves only the members that have j, lack i and whose image is
     absent, and the property is rechecked on deg(i) of the moved slots (see
@@ -247,9 +253,13 @@ def shift_ad_extremis(
     weights = [weight(f) for f in fams]
     trace = ShiftTrace()
     changed = True
+    blocked = {}  # (i,j) -> moved per slot, for the last pass
     while changed:
+        # with no pair blocked last pass, closed slots leave the next pass nothing to try
+        if not blocked and all(is_closed(ms, upto) for ms in members):
+            break
         changed = False
-        blocked = {}  # (i,j) -> moved per slot, for this pass
+        blocked = {}
         for i, j in _pairs(upto):
             bj = 1 << (j - 1)
             both = (1 << (i - 1)) | bj

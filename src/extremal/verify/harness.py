@@ -106,12 +106,10 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
         return SetFamily(n, k, members, _trusted=True)
     if mode == "star-perturbation":
         t = spec.get("t", 1)
-        star = full_star(n, k, t)
-        members = set(_keep(rng, star.members, spec.get("keep", 0.8)))
+        members = set(_keep(rng, _star(n, k, t), spec.get("keep", 0.8)))
         adds = spec.get("adds", 0)
         if adds > 0:
-            star_set = set(star.members)
-            outside = [m for m in enumerate_ksubsets(n, k) if m not in star_set]
+            outside = _outside_star(n, k, t)
             add_prob = spec.get("add_prob", 1.0)
             for _ in range(adds):
                 if outside and rng.random() < add_prob:
@@ -128,8 +126,7 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
         )
         return shift_ad_extremis((base,), ALWAYS)[0][0]
     if mode == "bdslice-sub":
-        slices = brace_daykin(n, spec["r"])
-        chosen = next((s for s in slices if s.k == k), None)
+        chosen = next((s for s in _bd_slices(n, spec["r"]) if s.k == k), None)
         if chosen is None:
             raise ValueError(f"no Brace-Daykin slice of uniformity {k}")
         return SetFamily(n, k, _keep(rng, chosen.members, spec.get("keep", 0.9)), _trusted=True)
@@ -164,9 +161,9 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         _need(spec, "pair", "base")
     if mode == "star-pair":
         n, k, t = spec["n"], spec["k"], spec.get("t", 1)
-        star = full_star(n, k, t)
-        a = SetFamily(n, k, _keep(rng, star.members, spec.get("keep_a", 0.8)), _trusted=True)
-        b = SetFamily(n, k, _keep(rng, star.members, spec.get("keep_b", 0.8)), _trusted=True)
+        star = _star(n, k, t)
+        a = SetFamily(n, k, _keep(rng, star, spec.get("keep_a", 0.8)), _trusted=True)
+        b = SetFamily(n, k, _keep(rng, star, spec.get("keep_b", 0.8)), _trusted=True)
         return a, b
     if mode in ("cross-dual", "cross-shifted"):
         a_fam = gen_family(rng, spec["base"])
@@ -204,7 +201,7 @@ def gen_slices(rng: random.Random, spec: dict) -> tuple[SetFamily, ...]:
     if spec["mode"] != "bd-sub":
         raise ValueError(f"unknown slices mode {spec['mode']!r}")
     _need(spec, "slices", "n", "r")
-    slices = brace_daykin(spec["n"], spec["r"])
+    slices = _bd_slices(spec["n"], spec["r"])
     keep = spec.get("keep", 0.9)
     out = []
     for s in slices:
@@ -303,6 +300,29 @@ def initial_families(n: int, k: int):
             if chosen & need[i] == need[i]:
                 stack.append((members + (masks[i],), chosen | 1 << i, i + 1))
     return out
+
+
+# The fixed constructions the samplers draw from, built once per shape and
+# shared, so read-only.
+
+
+@cache
+def _star(n: int, k: int, t: int) -> tuple[int, ...]:
+    """The members of `full_star(n, k, t)`, in ascending order."""
+    return full_star(n, k, t).members
+
+
+@cache
+def _outside_star(n: int, k: int, t: int) -> tuple[int, ...]:
+    """The k-sets outside `full_star(n, k, t)`, in `enumerate_ksubsets` order."""
+    star = set(_star(n, k, t))
+    return tuple(m for m in enumerate_ksubsets(n, k) if m not in star)
+
+
+@cache
+def _bd_slices(n: int, r: int) -> tuple[SetFamily, ...]:
+    """The slices of `brace_daykin(n, r)`, by ascending uniformity."""
+    return tuple(brace_daykin(n, r))
 
 
 @cache

@@ -8,6 +8,13 @@ the cap even at size + remaining.  Hereditary atoms (t-intersecting, matching
 cap) prune directly; non-triviality also prunes when even adding every
 remaining candidate keeps a common element.  Every atom is invariant under
 permutations of [n], so the root branches on the first k-set [k] alone.
+
+The matching cap is checked through the newest set only.  A node's parent
+already has matching number at most the cap s, and a maximum matching of the
+node either avoids the newest set or holds it together with a matching of the
+earlier sets disjoint from it.  So the node breaks the cap exactly when those
+disjoint sets have matching number at least s, and `matching_number` runs on
+them alone, and only when there are at least s of them.
 """
 
 from __future__ import annotations
@@ -79,10 +86,14 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
         # the cap grows with |F|, so a degree over it at size + remaining is over it below
         if size + len(cands_left) <= best_size or maxdeg > cap(size + len(cands_left)):
             return
-        if nu_cap is not None and chosen and matching_number(
-            SetFamily(n, k, chosen, _trusted=True)
-        ) > nu_cap:
-            return
+        if nu_cap is not None and chosen:
+            # the parent keeps the cap, so only the newest set can break it (module docstring)
+            newest = chosen[-1]
+            apart = [m for m in chosen[:-1] if not m & newest]
+            if len(apart) >= nu_cap and matching_number(
+                SetFamily(n, k, apart, _trusted=True)
+            ) >= nu_cap:
+                return
         if size > best_size and maxdeg <= cap(size):
             best_size = size
             best_members = list(chosen)

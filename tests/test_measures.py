@@ -30,6 +30,7 @@ from extremal.measures import (
     transversal_number,
 )
 from extremal.shifting import And, TIntersecting
+from extremal.verify.harness import initial_families
 
 
 def fam(n, k, *sets):
@@ -173,6 +174,20 @@ class TestMatching:
         rng = random.Random(10)
         for _ in range(40):
             f = rand_family(rng, 8, 3, 0.2)
+            assert matching_number(f) == oracle_matching(f)
+
+    def test_every_family_5_2(self):
+        masks = enumerate_ksubsets(5, 2)
+        for bits in range(1 << len(masks)):
+            f = SetFamily(5, 2, [m for i, m in enumerate(masks) if bits >> i & 1], _trusted=True)
+            assert matching_number(f) == oracle_matching(f)
+
+    def test_every_initial_family_7_3(self):
+        # most reach floor(7/3) = 2 early, where the bound exit ends the search
+        families = initial_families(7, 3)
+        assert len(families) == 352
+        for members in families:
+            f = SetFamily(7, 3, members, _trusted=True)
             assert matching_number(f) == oracle_matching(f)
 
 

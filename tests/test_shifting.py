@@ -266,6 +266,55 @@ class TestAdExtremis:
                 assert is_initial(out[0], m)
 
 
+@pytest.fixture
+def pair_log(monkeypatch):
+    """One list per pass of `shift_ad_extremis`: the pairs it examined."""
+    passes = []
+    pairs = shifting._pairs
+
+    def counted(n):
+        passes.append([])
+        for pair in pairs(n):
+            passes[-1].append(pair)
+            yield pair
+
+    monkeypatch.setattr(shifting, "_pairs", counted)
+    return passes
+
+
+class TestClosureExit:
+    def test_pass_after_a_blocked_pair_still_runs(self, pair_log):
+        # pass 1 blocks (1,2), which would make a star, then applies (3,4); the
+        # triangle it leaves is closed, but the blocked pair needs pass 2, which
+        # finds (1,2) no longer moves anything
+        f = fam(5, 2, (1, 2), (2, 3), (1, 4))
+        prop = And((NonTrivial(0),))
+        trace = assert_same_as_two_loop((f,), prop)
+        assert trace.steps == [((3, 4), (13,))]
+        assert trace.resistant_pairs == [] and trace.resistant_blame == {}
+        assert [len(p) for p in pair_log] == [10, 10]
+
+    def test_initial_input_examines_no_pair(self, pair_log):
+        f = fam(6, 3, (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5))
+        assert is_initial(f)
+        for prop in (ALWAYS, And((RhoAtMost(0, Fraction(4, 5)),)), And((NonTrivial(0),))):
+            out, trace = shift_ad_extremis((f,), prop)
+            assert out == (f,)
+            assert trace.steps == [] and trace.resistant_pairs == []
+            assert trace.final_weights == (weight(f),)
+        assert pair_log == []
+
+    def test_unguarded_shift_takes_one_pass(self, pair_log):
+        f = rand_family(random.Random(3), 8, 3, 0.3)
+        assert not is_initial(f)
+        out, trace = shift_ad_extremis((f,), ALWAYS)
+        assert is_initial(out[0])
+        assert len(trace.steps) == 14
+        # the pass that only confirmed the fixpoint is gone
+        assert [len(p) for p in pair_log] == [28]
+        assert trace.resistant_pairs == []
+
+
 # ---------------------------------------------------------------------------
 # The single shift loop against the two implementations it replaced.
 # ---------------------------------------------------------------------------

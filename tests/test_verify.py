@@ -1033,6 +1033,8 @@ class TestSearchRoot:
         pytest.param(6, 3, And((TIntersecting(0, 2),)), 13, id="6-3-prop4"),
         pytest.param(7, 3, And((TIntersecting(0, 1), RhoAtMost(0, Fraction(1, 2)))), 25_472,
                      id="7-3-prop5"),
+        pytest.param(7, 2, And((MatchingAtMost(0, 2), RhoAtMost(0, Fraction(1, 2)))), 15_431,
+                     id="7-2-prop6"),
     ])
     def test_fixed_root_keeps_optimum_and_witness(self, n, k, prop, pinned):
         size, witness, evals = reference_search(n, k, prop)
