@@ -42,6 +42,7 @@ from .verify import (
     run_suite,
     search_max,
 )
+from .verify.harness import _KINDS
 from .verify.recipes import recipe_for, suite_config
 
 
@@ -183,9 +184,10 @@ def cmd_construct(args) -> int:
         for path, fam in targets:
             write_family(fam, path)
             outputs.append(str(path))
+    if nf.predicted_size is not None:
+        print(f"[{nf.id}] predicted_total={nf.predicted_size}")
     for label, fam in nf.families:
-        print(f"[{nf.id}:{label}] size={len(fam)}"
-              + (f" predicted_total={nf.predicted_size}" if nf.predicted_size is not None else ""))
+        print(f"[{nf.id}:{label}] size={len(fam)}")
         print(_profile_lines(fam, args.format))
     if outputs:
         print("wrote: " + ", ".join(outputs))
@@ -252,11 +254,11 @@ def _single_recipe(args) -> dict:
     """The one recipe that --sample or --exhaustive describes."""
     if args.sample is not None:
         return recipe_for(args.id, overrides=_parse_kv(args.sample))
+    if args.id not in REGISTRY:
+        raise ValueError(f"unknown statement id {args.id!r}")
     grid = _parse_kv(args.exhaustive)
-    # "l" is the partner uniformity for pair statements, a parameter otherwise
-    dim_keys = ("n", "k", "l", "space") if (
-        args.id in REGISTRY and REGISTRY[args.id].kind == "pair"
-    ) else ("n", "k", "space")
+    # the keys the statement kind's spaces read are grid dimensions, the others parameters
+    dim_keys = (*_KINDS[REGISTRY[args.id].kind][2], "space")
     dims = {k: grid.pop(k) for k in dim_keys if k in grid}
     dims["params"] = grid
     return {"id": args.id, "mode": "exhaustive", "grid": dims}

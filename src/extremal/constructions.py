@@ -1,8 +1,11 @@
-"""Named family constructions with closed-form sizes as built-in self-checks."""
+"""Named family constructions, built by id from one table that also holds each
+id's closed-form total size, which `build` checks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from inspect import signature
 from itertools import product
 from math import comb
 
@@ -31,47 +34,31 @@ class NamedFamily:
         return sum(len(f) for _, f in self.families)
 
 
-def _checked(nf: NamedFamily) -> NamedFamily:
-    if nf.predicted_size is not None and nf.total_size() != nf.predicted_size:
-        raise AssertionError(
-            f"{nf.id}{nf.params}: size {nf.total_size()} != predicted {nf.predicted_size}"
-        )
-    return nf
-
-
+@cache
 def full_star(n: int, k: int, t: int) -> SetFamily:
-    """All k-sets containing the first t elements."""
+    """All k-sets containing the first t elements.
+
+    Built once per (n, k, t) on first use and shared afterwards.
+    """
     if not 1 <= t <= k <= n:
         raise ValueError(f"need 1 <= t <= k <= n, got ({n},{k},{t})")
     base = prefix_mask(t)
     rest = enumerate_ksubsets(n, k - t)
-    members = sorted(base | m for m in rest if not m & base)
-    fam = SetFamily(n, k, members)
-    assert len(fam) == comb(n - t, k - t)
-    return fam
+    return SetFamily(n, k, sorted(base | m for m in rest if not m & base))
 
 
 def frankl_family(n: int, k: int, t: int) -> SetFamily:
     """k-sets meeting the first t+2 elements in at least t+1 points."""
     if not (n > k > t >= 1):
         raise ValueError(f"need n > k > t >= 1, got ({n},{k},{t})")
-    win = prefix_mask(t + 2)
-    members = [m for m in enumerate_ksubsets(n, k) if (m & win).bit_count() >= t + 1]
-    fam = SetFamily(n, k, members, _trusted=True)
-    predicted = (t + 2) * comb0(n - t - 2, k - t - 1) + comb0(n - t - 2, k - t - 2)
-    assert len(fam) == predicted
-    return fam
+    return threshold_family(n, k, t + 2, t + 1)
 
 
 def triangle_family(n: int, k: int) -> SetFamily:
     """k-sets meeting {1,2,3} in at least two points."""
     if not (n >= 3 and 2 <= k <= n):
         raise ValueError(f"need n >= 3 and 2 <= k <= n, got ({n},{k})")
-    win = prefix_mask(3)
-    members = [m for m in enumerate_ksubsets(n, k) if (m & win).bit_count() >= 2]
-    fam = SetFamily(n, k, members, _trusted=True)
-    assert len(fam) == triangle_size(n, k)
-    return fam
+    return threshold_family(n, k, 3, 2)
 
 
 def threshold_family(n: int, k: int, q: int, a: int) -> SetFamily:
@@ -81,8 +68,7 @@ def threshold_family(n: int, k: int, q: int, a: int) -> SetFamily:
     win = prefix_mask(q)
     members = [m for m in enumerate_ksubsets(n, k) if (m & win).bit_count() >= a]
     fam = SetFamily(n, k, members, _trusted=True)
-    predicted = sum(comb0(q, i) * comb0(n - q, k - i) for i in range(a, min(q, k) + 1))
-    assert len(fam) == predicted
+    assert len(fam) == threshold_size(n, k, q, a)
     return fam
 
 
@@ -115,13 +101,15 @@ def example_1_8(n: int, k: int) -> tuple[SetFamily, SetFamily]:
     all_k = enumerate_ksubsets(n, k)
     fa = SetFamily(n, k, [m for m in all_k if _contains_any(m, a_pat)], _trusted=True)
     gb = SetFamily(n, k, [m for m in all_k if _contains_any(m, b_pat)], _trusted=True)
-    assert len(fa) == 2 * comb0(n - 2, k - 2) - comb0(n - 4, k - 4)
-    assert len(gb) == 4 * comb0(n - 4, k - 2) + 4 * comb0(n - 4, k - 3) + comb0(n - 4, k - 4)
     return fa, gb
 
 
-def brace_daykin(n: int, r: int) -> list[SetFamily]:
-    """All sets meeting [r+1] in >= r points, as per-cardinality uniform slices."""
+@cache
+def brace_daykin(n: int, r: int) -> tuple[SetFamily, ...]:
+    """All sets meeting [r+1] in >= r points, as uniform slices by ascending size.
+
+    Built once per (n, r) on first use and shared afterwards.
+    """
     if not (3 <= r and r + 1 <= n):
         raise ValueError(f"need r >= 3 and n >= r+1, got ({n},{r})")
     window = list(range(1, r + 2))
@@ -137,15 +125,17 @@ def brace_daykin(n: int, r: int) -> list[SetFamily]:
                 m |= 1 << (outside[low.bit_length() - 1] - 1)
                 bb ^= low
             by_size.setdefault(m.bit_count(), []).append(m)
-    slices = [SetFamily(n, s, ms) for s, ms in sorted(by_size.items())]
-    total = sum(len(f) for f in slices)
-    assert total == brace_daykin_size(n, r)
-    return slices
+    return tuple(SetFamily(n, s, ms) for s, ms in sorted(by_size.items()))
 
 
 def triangle_size(n: int, k: int) -> int:
     """Size 3*C(n-3, k-2) + C(n-3, k-3) of the triangle family."""
     return 3 * comb0(n - 3, k - 2) + comb0(n - 3, k - 3)
+
+
+def threshold_size(n: int, k: int, q: int, a: int) -> int:
+    """Size sum_i C(q, i) * C(n-q, k-i) over i >= a of the threshold family."""
+    return sum(comb0(q, i) * comb0(n - q, k - i) for i in range(a, min(q, k) + 1))
 
 
 def brace_daykin_size(n: int, r: int) -> int:
@@ -164,13 +154,7 @@ def example_3_10(n: int, k: int) -> tuple[SetFamily, SetFamily]:
     """The pair (all k-subsets of [k+1], all k-sets meeting [k+1] twice)."""
     if not (n > k >= 1 and n >= k + 1):
         raise ValueError(f"need n > k >= 1, got ({n},{k})")
-    win = prefix_mask(k + 1)
-    g_members = [m for m in enumerate_ksubsets(n, k) if m & win == m]
-    f_members = [m for m in enumerate_ksubsets(n, k) if (m & win).bit_count() >= 2]
-    g_fam = SetFamily(n, k, g_members, _trusted=True)
-    f_fam = SetFamily(n, k, f_members, _trusted=True)
-    assert len(g_fam) + len(f_fam) == g_value(n, k)
-    return g_fam, f_fam
+    return threshold_family(n, k, k + 1, k), threshold_family(n, k, k + 1, 2)
 
 
 def disjoint_blocks(k: int, l: int) -> tuple[SetFamily, SetFamily]:
@@ -183,7 +167,6 @@ def disjoint_blocks(k: int, l: int) -> tuple[SetFamily, SetFamily]:
     blocks = [list(range(b * k + 1, b * k + k + 1)) for b in range(l)]
     p_fam = SetFamily.from_sets(n, k, blocks)
     r_fam = SetFamily.from_sets(n, l, (pick for pick in product(*blocks)))
-    assert len(p_fam) == l and len(r_fam) == k**l
     return p_fam, r_fam
 
 
@@ -259,76 +242,61 @@ def fano() -> SetFamily:
 
 
 # ---------------------------------------------------------------------------
-# Registry used by the CLI: id -> (builder returning NamedFamily, arity help)
+# The table the CLI builds from: id -> (builder, slot labels, closed-form total
+# or None).  The builder's own parameters are the id's parameters.  A builder
+# of one family fills one slot named by the id; labels None name a tuple's
+# slots by uniformity, s<k> (Brace-Daykin).
 # ---------------------------------------------------------------------------
+
+_TABLE = {
+    "star": (full_star, None, lambda n, k, t: comb(n - t, k - t)),
+    "frankl": (
+        frankl_family,
+        None,
+        lambda n, k, t: (t + 2) * comb0(n - t - 2, k - t - 1) + comb0(n - t - 2, k - t - 2),
+    ),
+    "triangle": (triangle_family, None, triangle_size),
+    "threshold": (threshold_family, None, threshold_size),
+    "ex_1_7": (example_1_7, ("left", "right"), None),
+    # |anchored| = 2C(n-2,k-2) - C(n-4,k-4), |crossing| = 4C(n-4,k-2) + 4C(n-4,k-3) + C(n-4,k-4)
+    "ex_1_8": (
+        example_1_8,
+        ("anchored", "crossing"),
+        lambda n, k: 2 * comb0(n - 2, k - 2) + 4 * comb0(n - 4, k - 2) + 4 * comb0(n - 4, k - 3),
+    ),
+    "ex_3_10": (example_3_10, ("small", "large"), g_value),
+    "brace_daykin": (brace_daykin, None, brace_daykin_size),
+    "blocks": (disjoint_blocks, ("blocks", "transversals"), lambda k, l: l + k**l),
+    "plane": (projective_plane, None, lambda q: q * q + q + 1),
+    "fano": (fano, None, lambda: 7),
+    "full": (full_family, None, comb),
+}
+
+CONSTRUCTION_IDS = tuple(_TABLE)
+
+
+def param_names(name: str) -> tuple[str, ...]:
+    """The parameters construction `name` takes, in order."""
+    return tuple(signature(_TABLE[name][0]).parameters)
 
 
 def build(name: str, params: tuple[int, ...]) -> NamedFamily:
-    if name == "star":
-        n, k, t = params
-        return _checked(
-            NamedFamily(name, params, (("star", full_star(n, k, t)),), comb(n - t, k - t))
+    """Construction `name` at `params`, its slots labelled and its total checked."""
+    if name not in _TABLE:
+        raise ValueError(f"unknown construction {name!r}")
+    builder, labels, size = _TABLE[name]
+    names = param_names(name)
+    if len(params) != len(names):
+        listed = f" ({', '.join(names)})" if names else ""
+        raise ValueError(f"{name} takes {len(names)} parameters{listed}, got {len(params)}")
+    built = builder(*params)
+    if isinstance(built, SetFamily):
+        slots = ((name, built),)
+    else:
+        slots = tuple(zip(labels, built)) if labels else tuple((f"s{f.k}", f) for f in built)
+    nf = NamedFamily(name, tuple(params), slots, size(*params) if size else None)
+    if nf.predicted_size is not None and nf.total_size() != nf.predicted_size:
+        raise AssertionError(
+            f"{name}{nf.params}: size {nf.total_size()} != predicted {nf.predicted_size}"
         )
-    if name == "frankl":
-        n, k, t = params
-        return NamedFamily(name, params, (("frankl", frankl_family(n, k, t)),), None)
-    if name == "triangle":
-        n, k = params
-        fam = triangle_family(n, k)
-        return _checked(
-            NamedFamily(name, params, (("triangle", fam),), triangle_size(n, k))
-        )
-    if name == "threshold":
-        n, k, q, a = params
-        return NamedFamily(name, params, (("threshold", threshold_family(n, k, q, a)),), None)
-    if name == "ex_1_7":
-        n, k = params
-        left, right = example_1_7(n, k)
-        return NamedFamily(name, params, (("left", left), ("right", right)), None)
-    if name == "ex_1_8":
-        n, k = params
-        fa, gb = example_1_8(n, k)
-        return NamedFamily(name, params, (("anchored", fa), ("crossing", gb)), None)
-    if name == "ex_3_10":
-        n, k = params
-        g_fam, f_fam = example_3_10(n, k)
-        return _checked(
-            NamedFamily(name, params, (("small", g_fam), ("large", f_fam)), g_value(n, k))
-        )
-    if name == "brace_daykin":
-        n, r = params
-        slices = brace_daykin(n, r)
-        fams = tuple((f"s{f.k}", f) for f in slices)
-        return _checked(NamedFamily(name, params, fams, brace_daykin_size(n, r)))
-    if name == "blocks":
-        k, l = params
-        p_fam, r_fam = disjoint_blocks(k, l)
-        return NamedFamily(name, params, (("blocks", p_fam), ("transversals", r_fam)), None)
-    if name == "plane":
-        (q,) = params
-        fam = projective_plane(q)
-        return _checked(NamedFamily(name, params, (("plane", fam),), q * q + q + 1))
-    if name == "fano":
-        if params:
-            raise ValueError("fano takes no parameters")
-        return _checked(NamedFamily(name, (), (("fano", fano()),), 7))
-    if name == "full":
-        n, k = params
-        return _checked(NamedFamily(name, params, (("full", full_family(n, k)),), comb(n, k)))
-    raise ValueError(f"unknown construction {name!r}")
-
-
-CONSTRUCTION_IDS = (
-    "star",
-    "frankl",
-    "triangle",
-    "threshold",
-    "ex_1_7",
-    "ex_1_8",
-    "ex_3_10",
-    "brace_daykin",
-    "blocks",
-    "plane",
-    "fano",
-    "full",
-)
+    return nf

@@ -3,9 +3,10 @@
 A k-set is a plain int whose bit i-1 encodes element i (elements are 1-based
 externally, bit positions 0-based internally).  A SetFamily is an immutable,
 canonically sorted collection of such masks with a declared ground-set size n
-and uniformity k.  All operations are pure functions.  The one cached field,
-a family's answer to `is_initial` on all of [n], is derived from its members
-and idempotent, so caching it cannot change any result.
+and uniformity k.  All operations are pure functions.  The two cached fields,
+a family's answer to `is_initial` on all of [n] and its `measures.rho`, are
+derived from its members and idempotent, so caching them cannot change any
+result.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ class SetFamily:
 
     Members are stored as a duplicate-free tuple of masks in ascending numeric
     order (the canonical order).  Instances are immutable after construction
-    and safe to share across threads.  `_initial` caches `is_initial(self)`:
-    it is derived from the members, computed on first use and never changes.
+    and safe to share across threads.  `_initial` caches `is_initial(self)` and
+    `_rho` caches `measures.rho(self)`: each is derived from the members,
+    computed on first use (or set by a builder that knows it) and never changes.
     """
 
-    __slots__ = ("n", "k", "members", "_initial")
+    __slots__ = ("n", "k", "members", "_initial", "_rho")
 
     def __init__(self, n: int, k: int, members: Iterable[int] = (), *, _trusted: bool = False):
         n = int(n)
@@ -98,6 +100,7 @@ class SetFamily:
         self.k = k
         self.members = ms
         self._initial = None
+        self._rho = None
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "SetFamily":

@@ -48,10 +48,13 @@ def rho(fam: SetFamily) -> Fraction:
     """max_i deg(i) / |F| as an exact rational; 0 for the empty family.
 
     Equals 1 exactly when the family is a star (all members share a point).
+    The answer is cached on the family.
     """
-    if not fam.members:
-        return Fraction(0)
-    return Fraction(max(degree_vector(fam)), len(fam.members))
+    if fam._rho is None:
+        fam._rho = (
+            Fraction(max(degree_vector(fam)), len(fam.members)) if fam.members else Fraction(0)
+        )
+    return fam._rho
 
 
 def _common_mask(members: Iterable[int], n: int) -> int:

@@ -106,7 +106,7 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
         return SetFamily(n, k, members, _trusted=True)
     if mode == "star-perturbation":
         t = spec.get("t", 1)
-        members = set(_keep(rng, _star(n, k, t), spec.get("keep", 0.8)))
+        members = set(_keep(rng, full_star(n, k, t).members, spec.get("keep", 0.8)))
         adds = spec.get("adds", 0)
         if adds > 0:
             outside = _outside_star(n, k, t)
@@ -126,7 +126,7 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
         )
         return shift_ad_extremis((base,), ALWAYS)[0][0]
     if mode == "bdslice-sub":
-        chosen = next((s for s in _bd_slices(n, spec["r"]) if s.k == k), None)
+        chosen = next((s for s in brace_daykin(n, spec["r"]) if s.k == k), None)
         if chosen is None:
             raise ValueError(f"no Brace-Daykin slice of uniformity {k}")
         return SetFamily(n, k, _keep(rng, chosen.members, spec.get("keep", 0.9)), _trusted=True)
@@ -161,7 +161,7 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         _need(spec, "pair", "base")
     if mode == "star-pair":
         n, k, t = spec["n"], spec["k"], spec.get("t", 1)
-        star = _star(n, k, t)
+        star = full_star(n, k, t).members
         a = SetFamily(n, k, _keep(rng, star, spec.get("keep_a", 0.8)), _trusted=True)
         b = SetFamily(n, k, _keep(rng, star, spec.get("keep_b", 0.8)), _trusted=True)
         return a, b
@@ -179,7 +179,7 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
             bit = 1 << (top - 1)
             for rest in enumerate_ksubsets(low, k - 1):
                 anchored.append(rest | bit)
-        star = [m for m in enumerate_ksubsets(n, k) if m & 1]
+        star = full_star(n, k, 1).members
         members = set(_keep(rng, anchored, spec.get("keep_anchor", 0.8)))
         members |= set(_keep(rng, star, spec.get("keep_star", 0.3)))
         a_fam = SetFamily(n, k, sorted(members), _trusted=True)
@@ -201,7 +201,7 @@ def gen_slices(rng: random.Random, spec: dict) -> tuple[SetFamily, ...]:
     if spec["mode"] != "bd-sub":
         raise ValueError(f"unknown slices mode {spec['mode']!r}")
     _need(spec, "slices", "n", "r")
-    slices = _bd_slices(spec["n"], spec["r"])
+    slices = brace_daykin(spec["n"], spec["r"])
     keep = spec.get("keep", 0.9)
     out = []
     for s in slices:
@@ -244,12 +244,13 @@ def _draw_params(rng: random.Random, draws: dict, n: int) -> dict:
 
 
 # per statement kind: the generator of the instance spec's field of that name (numeric: none),
-# and the exhaustive spaces the kind may sweep, its default first
+# the exhaustive spaces the kind may sweep, its default first, and the grid keys those
+# spaces read (l is the partner uniformity of a pair, a parameter for the other kinds)
 _KINDS = {
-    "family": (lambda rng, spec: (gen_family(rng, spec),), ("families", "initial")),
-    "pair": (gen_pair, ("dual-pairs", "initial-pairs")),
-    "numeric": (None, ("grid",)),
-    "slices": (gen_slices, ()),
+    "family": (lambda rng, spec: (gen_family(rng, spec),), ("families", "initial"), ("n", "k")),
+    "pair": (gen_pair, ("dual-pairs", "initial-pairs"), ("n", "k", "l")),
+    "numeric": (None, ("grid",), ("n", "k")),
+    "slices": (gen_slices, (), ("n", "k")),
 }
 
 
@@ -302,27 +303,14 @@ def initial_families(n: int, k: int):
     return out
 
 
-# The fixed constructions the samplers draw from, built once per shape and
-# shared, so read-only.
-
-
-@cache
-def _star(n: int, k: int, t: int) -> tuple[int, ...]:
-    """The members of `full_star(n, k, t)`, in ascending order."""
-    return full_star(n, k, t).members
-
-
 @cache
 def _outside_star(n: int, k: int, t: int) -> tuple[int, ...]:
-    """The k-sets outside `full_star(n, k, t)`, in `enumerate_ksubsets` order."""
-    star = set(_star(n, k, t))
+    """The k-sets outside `full_star(n, k, t)`, in `enumerate_ksubsets` order.
+
+    Built once per shape and shared, so read-only.
+    """
+    star = set(full_star(n, k, t).members)
     return tuple(m for m in enumerate_ksubsets(n, k) if m not in star)
-
-
-@cache
-def _bd_slices(n: int, r: int) -> tuple[SetFamily, ...]:
-    """The slices of `brace_daykin(n, r)`, by ascending uniformity."""
-    return tuple(brace_daykin(n, r))
 
 
 @cache
@@ -396,6 +384,12 @@ def _space(space: str, grid: dict, params: dict, budget: int):
     def fam(uniformity, members):
         return SetFamily(n, uniformity, members, _trusted=True)
 
+    def initial(uniformity, members):
+        # the downset lister yields initial families only: mark each, rather than re-prove it
+        out = fam(uniformity, members)
+        out._initial = True
+        return out
+
     if space == "families":
 
         def stream():
@@ -410,7 +404,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
 
         def stream():
             for members in listed if listed is not None else initial_families(n, k):
-                yield Instance((fam(k, members),), dict(params))
+                yield Instance((initial(k, members),), dict(params))
 
         if listed is None:
             return _power_of_two(m, False, budget), False, stream()
@@ -425,9 +419,9 @@ def _space(space: str, grid: dict, params: dict, budget: int):
 
         def stream():
             left, right = listed or both()
-            # each family is built once, so its cached `is_initial` serves every pair it is in
-            fams_a = [fam(k, a) for a in left]
-            fams_b = [fam(l, b) for b in right] if right is not left else fams_a
+            # each family is built once, so its cached measures serve every pair it is in
+            fams_a = [initial(k, a) for a in left]
+            fams_b = [initial(l, b) for b in right] if right is not left else fams_a
             for fa in fams_a:
                 for fb in fams_b:
                     yield Instance((fa, fb), dict(params))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from extremal.cli import build_parser, main, parse_property_spec
+from extremal.constructions import CONSTRUCTION_IDS, param_names
 from extremal.core import read_family
 from extremal.measures import rho
 from extremal.shifting import CrossTIntersecting, RhoAtMost, TIntersecting
@@ -83,6 +84,33 @@ class TestConstructMeasure:
         assert main(["construct", "--id", "ex_1_8", "--params", "10,4", "--out", str(out)]) == 0
         assert len(read_family(tmp_path / "pair.anchored.txt")) == 55
         assert len(read_family(tmp_path / "pair.crossing.txt")) == 85
+
+    def test_wrong_parameter_count_exit_2(self, capsys):
+        assert main(["construct", "--id", "star", "--params", "4,2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: star takes 3 parameters (n, k, t), got 2"]
+        assert main(["construct", "--id", "fano", "--params", "3"]) == 2
+        assert capsys.readouterr().err.strip() == "error: fano takes 0 parameters, got 1"
+
+    @pytest.mark.parametrize("cid,params,total", [
+        ("brace_daykin", "5,3", 10),
+        ("frankl", "6,3,1", 10),
+        ("ex_1_8", "10,4", 140),
+        ("threshold", "6,3,3,2", 10),
+        ("blocks", "2,3", 11),
+        ("plane", "3", 13),
+        ("fano", "", 7),
+        ("full", "5,2", 10),
+    ])
+    def test_predicted_total_printed_once(self, capsys, cid, params, total):
+        assert main(["construct", "--id", cid, "--params", params]) == 0
+        out = capsys.readouterr().out
+        assert out.count("predicted_total") == 1
+        assert f"[{cid}] predicted_total={total}\n" in out
+
+    def test_no_predicted_total_without_closed_form(self, capsys):
+        assert main(["construct", "--id", "ex_1_7", "--params", "8,3"]) == 0
+        assert "predicted_total" not in capsys.readouterr().out
 
     def test_round_trip_measure_matches_library(self, tmp_path, capsys):
         out = tmp_path / "tri.txt"
@@ -171,6 +199,17 @@ class TestVerifyCommand:
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["result"]["totals"]["fail"] == 0
         assert payload["result"]["extras"]["equality"] == 10
+
+    def test_l_is_a_dimension_for_pair_statements_only(self, tmp_path):
+        pair, family = tmp_path / "pair.json", tmp_path / "family.json"
+        assert main(["verify", "--id", "PROP_3_15", "--exhaustive",
+                     "n=5,k=2,l=3,space=initial-pairs", "--out", str(pair)]) == 0
+        assert main(["verify", "--id", "KATONA", "--exhaustive", "n=5,k=2,t=1,l=1",
+                     "--out", str(family)]) == 0
+        grid = json.loads(pair.read_text(encoding="utf-8"))["config"]["grid"]
+        assert grid == {"n": 5, "k": 2, "l": 3, "space": "initial-pairs", "params": {}}
+        grid = json.loads(family.read_text(encoding="utf-8"))["config"]["grid"]
+        assert grid == {"n": 5, "k": 2, "space": "families", "params": {"l": 1, "t": 1}}
 
     def test_sample_uses_default_recipe(self, tmp_path):
         report = tmp_path / "r.json"
@@ -598,3 +637,11 @@ def test_readme_quick_start(tmp_path, monkeypatch):
         if argv == ["verify", "--suite"]:
             argv += ["--id", "KATONA"]  # criterion 9 runs the whole suite
         assert main(argv) == 0, line
+
+
+def test_readme_lists_each_construction_with_its_parameters():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    for cid in CONSTRUCTION_IDS:
+        names = param_names(cid)
+        assert f"`{cid}` ({', '.join(names)})" in text, cid
+        assert f"`{cid}` {','.join(names) or 'none'}" in text, cid

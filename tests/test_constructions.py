@@ -5,8 +5,9 @@ from math import comb
 
 import pytest
 
-from extremal.core import CapacityError, SetFamily, comb0, is_initial
+from extremal.core import CapacityError, SetFamily, comb0, enumerate_ksubsets, is_initial, prefix_mask
 from extremal.constructions import (
+    CONSTRUCTION_IDS,
     brace_daykin,
     build,
     disjoint_blocks,
@@ -17,6 +18,7 @@ from extremal.constructions import (
     frankl_family,
     full_star,
     g_value,
+    param_names,
     projective_plane,
     threshold_family,
     triangle_family,
@@ -116,6 +118,13 @@ class TestExample18:
         assert len(fa) == 2 * comb(8, 2) - comb(6, 0) == 55
         assert len(gb) == 4 * comb(6, 2) + 4 * comb(6, 1) + comb(6, 0) == 85
 
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_side_closed_forms(self, n):
+        for k in range(2, n + 1):
+            fa, gb = example_1_8(n, k)
+            assert len(fa) == 2 * comb0(n - 2, k - 2) - comb0(n - 4, k - 4)
+            assert len(gb) == 4 * comb0(n - 4, k - 2) + 4 * comb0(n - 4, k - 3) + comb0(n - 4, k - 4)
+
     def test_cross_and_rho(self):
         fa, gb = example_1_8(10, 4)
         assert is_cross_t_intersecting(fa, gb, 1)
@@ -211,3 +220,96 @@ class TestBuildRegistry:
     def test_unknown(self):
         with pytest.raises(ValueError):
             build("nope", ())
+
+    def test_wrong_parameter_count(self):
+        with pytest.raises(ValueError, match=r"^star takes 3 parameters \(n, k, t\), got 2$"):
+            build("star", (4, 2))
+        with pytest.raises(ValueError, match=r"^fano takes 0 parameters, got 1$"):
+            build("fano", (3,))
+
+
+# small parameters for every id of the table
+SMALL_PARAMS = {
+    "star": (7, 3, 2),
+    "frankl": (8, 4, 1),
+    "triangle": (7, 3),
+    "threshold": (7, 3, 4, 2),
+    "ex_1_7": (8, 3),
+    "ex_1_8": (8, 4),
+    "ex_3_10": (7, 3),
+    "brace_daykin": (7, 3),
+    "blocks": (2, 3),
+    "plane": (3,),
+    "fano": (),
+    "full": (6, 3),
+}
+
+
+class TestTable:
+    def test_every_id_has_small_parameters(self):
+        assert tuple(SMALL_PARAMS) == CONSTRUCTION_IDS
+        for cid, params in SMALL_PARAMS.items():
+            assert len(params) == len(param_names(cid)), cid
+
+    @pytest.mark.parametrize("cid", CONSTRUCTION_IDS)
+    def test_total_matches_closed_form(self, cid):
+        nf = build(cid, SMALL_PARAMS[cid])
+        assert nf.id == cid and nf.params == SMALL_PARAMS[cid]
+        assert nf.total_size() > 0
+        if cid != "ex_1_7":  # the one id without a closed form
+            assert nf.total_size() == nf.predicted_size
+
+    def test_brace_daykin_slots_by_uniformity(self):
+        nf = build("brace_daykin", (7, 3))
+        assert [label for label, _ in nf.families] == [f"s{f.k}" for _, f in nf.families]
+        assert [f.k for _, f in nf.families] == [3, 4, 5, 6, 7]
+
+    def test_shared_builds(self):
+        assert full_star(7, 3, 1) is full_star(7, 3, 1)
+        assert brace_daykin(6, 3) is brace_daykin(6, 3)
+
+
+# ---------------------------------------------------------------------------
+# The filters the threshold-family constructions had before they called
+# `threshold_family`, as oracles.
+# ---------------------------------------------------------------------------
+
+
+def reference_frankl(n, k, t):
+    win = prefix_mask(t + 2)
+    return [m for m in enumerate_ksubsets(n, k) if (m & win).bit_count() >= t + 1]
+
+
+def reference_triangle(n, k):
+    win = prefix_mask(3)
+    return [m for m in enumerate_ksubsets(n, k) if (m & win).bit_count() >= 2]
+
+
+def reference_ex_3_10(n, k):
+    win = prefix_mask(k + 1)
+    g_members = [m for m in enumerate_ksubsets(n, k) if m & win == m]
+    f_members = [m for m in enumerate_ksubsets(n, k) if (m & win).bit_count() >= 2]
+    return g_members, f_members
+
+
+class TestThresholdOracles:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_frankl(self, n):
+        for k in range(n):
+            for t in range(1, k):
+                got = frankl_family(n, k, t)
+                assert list(got.members) == reference_frankl(n, k, t), (n, k, t)
+                assert len(got) == (t + 2) * comb0(n - t - 2, k - t - 1) + comb0(n - t - 2, k - t - 2)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_triangle(self, n):
+        for k in range(2, n + 1):
+            assert list(triangle_family(n, k).members) == reference_triangle(n, k), (n, k)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ex_3_10(self, n):
+        for k in range(1, n):
+            g_fam, f_fam = example_3_10(n, k)
+            g_ref, f_ref = reference_ex_3_10(n, k)
+            assert list(g_fam.members) == g_ref and list(f_fam.members) == f_ref, (n, k)
+            assert len(g_fam) + len(f_fam) == g_value(n, k)

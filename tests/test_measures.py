@@ -125,6 +125,13 @@ class TestDegreesAndRho:
     def test_rho_empty_convention(self):
         assert rho(SetFamily(6, 3, [])) == 0
 
+    def test_cached_rho_equals_uncached_every_family_5_2(self):
+        for f in all_families(5, 2):
+            top = max(sum(m >> i & 1 for m in f.members) for i in range(f.n))
+            uncached = Fraction(top, len(f)) if f.members else Fraction(0)
+            assert rho(f) == uncached
+            assert f._rho == uncached and rho(f) == uncached
+
 
 class TestTransversal:
     def test_examples(self):

@@ -781,6 +781,34 @@ class TestSpaces:
         assert calls == [(grid["n"], grid["k"])]
 
 
+    def test_initial_space_proves_no_family_initial(self, monkeypatch):
+        from extremal import core
+
+        def refused(*args):
+            raise AssertionError("is_closed called")
+
+        monkeypatch.setattr(core, "is_closed", refused)
+        rep = exhaustive_sweep("MATCHING_COR", {"n": 6, "k": 3, "space": "initial"})
+        assert rep["result"]["totals"]["fail"] == 0 and rep["result"]["totals"]["pass"] > 0
+
+    def test_pair_sweep_computes_rho_once_per_family(self, monkeypatch):
+        from extremal import measures
+
+        calls = []
+        original = measures.degree_vector
+
+        def counted(fam):
+            calls.append(fam)
+            return original(fam)
+
+        monkeypatch.setattr(measures, "degree_vector", counted)
+        rep = exhaustive_sweep("PROP_3_2", {"n": 6, "k": 3, "space": "initial-pairs"})
+        assert rep["result"]["totals"]["fail"] == 0 and rep["result"]["totals"]["pass"] > 0
+        assert len(initial_families(6, 3)) == 66
+        assert len(calls) <= 66
+        assert len({id(f) for f in calls}) == len(calls)
+
+
 def reference_initial_families(n, k):
     """The old downset lister: a k-set joins once every one of its unit predecessors is in."""
 
