@@ -220,7 +220,8 @@ def shift_ad_extremis(
     termination is guaranteed because total weight strictly decreases on every
     applied step.  The output satisfies the property, and every such pair either
     fixes all slots or would break the property.  The pairs blocked in the final
-    pass, which applies no shift, are the trace's resistant pairs.
+    pass, which applies no shift, are the trace's resistant pairs.  With none
+    and `upto` = n, the outputs are initial and marked so (`SetFamily._initial`).
 
     The loop also ends, before a pass, when the last pass blocked no pair (or
     none has run yet) and every slot is closed under unit predecessors on
@@ -284,6 +285,11 @@ def shift_ad_extremis(
                 blocked[(i, j)] = tuple(bool(mv) for mv in moved)
 
     out = tuple(SetFamily(f.n, f.k, sorted(ms), _trusted=True) for f, ms in zip(fams, members))
+    if not blocked and upto == n:
+        # the closure exit, or a last pass that neither applied nor blocked a shift:
+        # every pair fixes every slot
+        for f in out:
+            f._initial = True
     trace.final_weights = tuple(weights)
     trace.resistant_pairs = list(blocked)
     trace.resistant_blame = blocked

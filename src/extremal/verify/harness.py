@@ -281,26 +281,68 @@ def _decode(bits: int, masks) -> list[int]:
     return out
 
 
-def initial_families(n: int, k: int):
-    """All initial families as ascending member-mask tuples, in ascending order.
+@cache
+def _shift_order(n: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Per k-set of [n], in `enumerate_ksubsets` order: the bits of its unit
+    predecessors (one element y moved to y-1), and the indices of its unit successors.
 
-    Pre-order: a family, then its extensions by each later k-set whose unit
-    predecessors (smaller masks) it holds, so each family is met once, in order.
+    Built once per (n, k) and shared, so read-only.
     """
     masks = enumerate_ksubsets(n, k)
     index = {m: i for i, m in enumerate(masks)}
-    # need[i]: the bits of k-set i's unit predecessors, each of which must be chosen before it
-    need = [sum(1 << index[p] for p in _predecessors((m,), n)) for m in masks]
-    out = []
+    need = tuple(sum(1 << index[p] for p in _predecessors((m,), n)) for m in masks)
+    succ = [[] for _ in masks]
+    for j, bits in enumerate(need):
+        while bits:
+            low = bits & -bits
+            succ[low.bit_length() - 1].append(j)
+            bits ^= low
+    return need, tuple(map(tuple, succ))
+
+
+def _downsets(n: int, k: int, allowed: int = -1):
+    """The initial families on [n] made of k-sets in `allowed`, as (members, bits).
+
+    `allowed` and `bits` are bit sets over `enumerate_ksubsets(n, k)` (-1: all).
+    Pre-order: a family, then its extensions by each later allowed k-set whose
+    unit predecessors it holds, so each family is met once, in ascending order.
+    A node carries those k-sets as a bit set: its parent's, above its own last
+    member, plus the unit successors of that member that it completes.
+    """
+    masks = enumerate_ksubsets(n, k)
+    need, succ = _shift_order(n, k)
     # an explicit stack, since a family can hold all C(n, k) k-sets
-    stack = [((), 0, 0)]
+    stack = [((), 0, sum(1 << i for i, bits in enumerate(need) if not bits) & allowed)]
     while stack:
-        members, chosen, start = stack.pop()
-        out.append(members)
-        for i in range(len(masks) - 1, start - 1, -1):
-            if chosen & need[i] == need[i]:
-                stack.append((members + (masks[i],), chosen | 1 << i, i + 1))
-    return out
+        members, chosen, addable = stack.pop()
+        yield members, chosen
+        rest = addable
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
+            grown = chosen | 1 << i
+            later = addable >> (i + 1) << (i + 1)
+            for j in succ[i]:
+                if grown & need[j] == need[j]:
+                    later |= 1 << j
+            stack.append((members + (masks[i],), grown, later & allowed))
+
+
+def initial_families(n: int, k: int):
+    """All initial families as ascending member-mask tuples, in ascending order."""
+    return [members for members, _ in _downsets(n, k)]
+
+
+def _count_within(walk, budget: int) -> int:
+    """How many items `walk` yields; refused as soon as two evaluations each pass `budget`."""
+    count = 0
+    for _ in walk:
+        count += 1
+        if 2 * count > budget:
+            raise BudgetError(
+                f"at least {2 * count} evaluations exceed budget {budget} (counting stopped there)"
+            )
+    return count
 
 
 @cache
@@ -332,6 +374,23 @@ def _dual(abits: int, compat: tuple[int, ...]) -> int:
     return sum(1 << j for j, row in enumerate(compat) if not abits & ~row)
 
 
+def _refuse_unwalkable(n: int, uniformities: tuple[int, ...], budget: int) -> None:
+    """Refuse an initial space before any k-set is listed when it must pass the budget.
+
+    The k-sets of one weight (element sum) are an antichain of the shifting
+    order, and each subset of an antichain generates its own initial family.
+    The C(n, k) k-sets spread over k(n-k)+1 weights, so there are at least
+    2**ceil(C(n, k) / (k(n-k)+1)) initial families, and at least as many pairs.
+    """
+    sizes = [comb(n, u) for u in uniformities]
+    least = max(-(-size // (u * (n - u) + 1)) for size, u in zip(sizes, uniformities))
+    if least >= int(budget).bit_length():
+        raise BudgetError(
+            f"estimated 2**{sum(sizes) + 1} evaluations (an upper bound; the space holds at "
+            f"least 2**{least} instances) exceed budget {budget}"
+        )
+
+
 def _over_budget(estimate, exact: bool, budget: int) -> BudgetError:
     bound = "" if exact else " (an upper bound: the space is too large to count)"
     return BudgetError(f"estimated {estimate} evaluations{bound} exceed budget {budget}")
@@ -348,8 +407,10 @@ def _power_of_two(exponent: int, exact: bool, budget: int) -> int:
 def _space(space: str, grid: dict, params: dict, budget: int):
     """Instance count, whether it is exact, and the instance stream of one space.
 
-    Each space is built once, when its count is exact.  Past the size caps the
-    count is an upper bound and nothing is built unless the stream is consumed.
+    Nothing is built unless the stream is consumed, and then each space is
+    built once.  The `initial` spaces are counted by a walk that builds nothing
+    and stops once two evaluations per instance pass the budget; past the
+    `dual-pairs` size cap the count is an upper bound.
     """
     if space == "grid":
         # a [lo, hi] list is a dimension swept over lo..hi, any other key a fixed param
@@ -398,37 +459,38 @@ def _space(space: str, grid: dict, params: dict, budget: int):
                 yield Instance((fam(k, _decode(bits, masks)),), dict(params))
 
         return _power_of_two(m, True, budget), True, stream()
-    # downset enumeration is output-sensitive, so exact counts stay cheap
+    # the downset walk is output-sensitive: the initial spaces are counted by walking them
     if space == "initial":
-        listed = initial_families(n, k) if m <= 70 else None
+        _refuse_unwalkable(n, (k,), budget)
+        count = _count_within(_downsets(n, k), budget)
 
         def stream():
-            for members in listed if listed is not None else initial_families(n, k):
+            for members in initial_families(n, k):
                 yield Instance((initial(k, members),), dict(params))
 
-        if listed is None:
-            return _power_of_two(m, False, budget), False, stream()
-        return len(listed), True, stream()
+        return count, True, stream()
     if space == "initial-pairs":
-
-        def both():
-            left = initial_families(n, k)
-            return left, (initial_families(n, l) if l != k else left)
-
-        listed = both() if max(m, comb(n, l)) <= 70 else None
+        # B ranges over the initial l-families inside A's t-dual, itself initial when A is
+        _refuse_unwalkable(n, (k, l), budget)
+        t = params.get("t", 1)
+        index, compat = _cross_rows(n, k, l, t)
+        count = _count_within(
+            (pair for _, abits in _downsets(n, k)
+             for pair in _downsets(n, l, _dual(abits, compat))),
+            budget,
+        )
 
         def stream():
-            left, right = listed or both()
             # each family is built once, so its cached measures serve every pair it is in
-            fams_a = [initial(k, a) for a in left]
-            fams_b = [initial(l, b) for b in right] if right is not left else fams_a
+            fams_a = [initial(k, a) for a in initial_families(n, k)]
+            fams_b = [initial(l, b) for b in initial_families(n, l)] if l != k else fams_a
+            by_members = {fb.members: fb for fb in fams_b}
             for fa in fams_a:
-                for fb in fams_b:
-                    yield Instance((fa, fb), dict(params))
+                dual = _dual(sum(1 << index[m] for m in fa.members), compat)
+                for members, _ in _downsets(n, l, dual):
+                    yield Instance((fa, by_members[members]), dict(params))
 
-        if listed is None:
-            return _power_of_two(m + comb(n, l), False, budget), False, stream()
-        return len(listed[0]) * len(listed[1]), True, stream()
+        return count, True, stream()
     if space == "dual-pairs":
         t = params.get("t", 1)
 

@@ -584,16 +584,33 @@ _register(
 
 
 def _prop_3_13_concl(i: Instance) -> bool:
+    """Each a in F and b in G overfill some prefix: |a ∩ [q]| + |b ∩ [q]| >= q + 1.
+
+    One walk over q = 1..n keeps bit-sliced counters over G's member columns:
+    `at_least[c]` holds the members of G with at least c points in [q].  The
+    members that overfill [q] with a are then `at_least[q + 1 - |a ∩ [q]|]`,
+    so each a costs n lookups.
+    """
     f, g = i.families
-    n = f.n
-    prefixes = [prefix_mask(q) for q in range(1, n + 1)]
+    everyone = (1 << len(g)) - 1
+    at_least = [everyone] + [0] * g.k
+    rows = []
+    for q in range(1, f.n + 1):
+        column = sum(1 << j for j, b in enumerate(g.members) if b >> (q - 1) & 1)
+        for c in range(min(q, g.k), 0, -1):
+            at_least[c] |= at_least[c - 1] & column
+        rows.append(tuple(at_least))
     for a in f.members:
-        for b in g.members:
-            if not any(
-                (a & w).bit_count() + (b & w).bit_count() >= q + 1
-                for q, w in enumerate(prefixes, start=1)
-            ):
-                return False
+        met = points = 0
+        for q, row in enumerate(rows, start=1):
+            points += a >> (q - 1) & 1
+            # points <= q, so at least one point of b is needed
+            if q + 1 - points <= g.k:
+                met |= row[q + 1 - points]
+                if met == everyone:
+                    break
+        if met != everyone:
+            return False
     return True
 
 

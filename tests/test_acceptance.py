@@ -52,7 +52,7 @@ from extremal.verify.recipes import MUST_BE_NONVACUOUS, VACUOUS_ONLY, suite_conf
 
 # sha256 over json.dumps(result, sort_keys=True) of every shipped suite entry, in
 # suite order; a change to any verdict, total, witness or extra changes it
-SUITE_RESULT_SHA256 = "3b76cff8853a6b3cca31e8b493e7a5d046682636b846f21101c232a8790950d9"
+SUITE_RESULT_SHA256 = "4cdd7a5e53995772d0f0db4260c34cc7cbd4272078180c40632e579da7e4e421"
 
 
 def report_line(idx, name, ok, elapsed):

@@ -358,6 +358,17 @@ class TestVerifyCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["id=LEM_3_7 pass=0 vacuous=6212 fail=0 budget_used=12424"]
 
+    def test_initial_space_counted_by_listing(self, capsys):
+        # 84 3-sets of [9]: a size cap would refuse it, though it holds 21,760 families
+        argv = ["verify", "--id", "EQ_2_1", "--exhaustive", "n=9,k=3,space=initial"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == ["id=EQ_2_1 pass=21760 vacuous=0 fail=0 budget_used=43520"]
+        assert main([*argv, "--budget", "43519"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: at least 43520 evaluations exceed budget 43519 "
+                       "(counting stopped there)"]
+
     @pytest.mark.parametrize("grid", ["n=40,k=20,t=1", "n=40,k=20,t=1,space=initial"])
     def test_huge_space_refused_from_its_exponent(self, tmp_path, grid):
         resource = pytest.importorskip("resource")

@@ -170,6 +170,45 @@ class TestRestrictions:
             assert total == len(f)
 
 
+def validated_trace(f, e0m, em):
+    """`trace` built through SetFamily's validation, as it was before it trusted its members."""
+    t = e0m.bit_count()
+    if t > f.k:
+        return SetFamily(f.n, 0, ())
+    return SetFamily(f.n, f.k - t, (m & ~em for m in f.members if m & em == e0m))
+
+
+def small_sets(n, most):
+    """Every subset of [n] with at most `most` elements, as a mask."""
+    return [m for size in range(most + 1) for m in enumerate_ksubsets(n, size)]
+
+
+class TestTrustedRestrictions:
+    """`link` and `trace` skip validation: their members are distinct and sorted anyway."""
+
+    def check(self, f):
+        for em in small_sets(f.n, 3):
+            assert link(f, em).members == validated_trace(f, em, em).members
+            e0m = em
+            while True:
+                got, want = trace(f, e0m, em), validated_trace(f, e0m, em)
+                assert (got.n, got.k, got.members) == (want.n, want.k, want.members)
+                if e0m == 0:
+                    break
+                e0m = (e0m - 1) & em
+
+    def test_every_family_5_2(self):
+        masks = enumerate_ksubsets(5, 2)
+        for bits in range(1 << len(masks)):
+            self.check(SetFamily(5, 2, [m for i, m in enumerate(masks) if bits >> i & 1]))
+
+    def test_seeded_8_3(self):
+        rng = random.Random(18)
+        for density in (0.1, 0.3, 0.6, 0.9):
+            for _ in range(5):
+                self.check(rand_family(rng, 8, 3, density))
+
+
 class TestShiftOrder:
     """The shifting order that TestInitial uses as its oracle."""
 

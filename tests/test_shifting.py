@@ -315,6 +315,44 @@ class TestClosureExit:
         assert trace.resistant_pairs == []
 
 
+class TestInitialMark:
+    """A run with no resistant pair over all of [n] marks its outputs initial."""
+
+    def test_mark_equals_fresh_is_initial(self):
+        rng = random.Random(18)
+        guards = ("none", "rho<=1/2", "intersecting&rho<=2/3", "nontrivial", "none")
+        marked, unmarked = 0, [0, 0]
+        for run in range(200):
+            n = rng.randint(4, 8)
+            k = rng.randint(2, min(4, n - 2))
+            if run % 4 == 3:
+                a = rand_family(rng, n, k, 0.3)
+                dual = [c for c in enumerate_ksubsets(n, k) if all(c & m for m in a.members)]
+                fams = (a, SetFamily(n, k, [c for c in dual if rng.random() < 0.5]))
+                spec = rng.choice(("none", "cross(0,1)", "cross(0,1)&rho<=2/3"))
+            else:
+                fams = (rand_family(rng, n, k, rng.choice((0.1, 0.3, 0.6))),)
+                # unguarded, or the first guard that the family satisfies
+                spec = next(g for g in guards[run % 4 != 2:] if parse_property_spec(g).holds(fams))
+            prop = parse_property_spec(spec, slots=len(fams))
+            if not prop.holds(fams):
+                prop = ALWAYS
+            upto = rng.choice((None, None, n - 1))
+            out, trace = shift_ad_extremis(fams, prop, upto=upto)
+            fresh = [is_initial(SetFamily(n, k, f.members)) for f in out]
+            flags = [f._initial for f in out]
+            if upto is None and not trace.resistant_pairs:
+                assert flags == [True] * len(out) == fresh
+                marked += 1
+            else:
+                # a resistant pair moves some slot, so that slot is not initial
+                assert flags == [None] * len(out)
+                assert upto is not None or not all(fresh)
+                assert [is_initial(f) for f in out] == fresh
+                unmarked[upto is None] += 1
+        assert marked > 50 and min(unmarked) > 10
+
+
 # ---------------------------------------------------------------------------
 # The single shift loop against the two implementations it replaced.
 # ---------------------------------------------------------------------------

@@ -222,13 +222,14 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "sid,grid",
         [
-            ("EKR_1_1", {"n": 9, "k": 3, "space": "initial", "params": {"t": 1}}),
-            ("PROP_3_15", {"n": 9, "k": 3, "space": "initial-pairs"}),
+            ("EKR_1_1", {"n": 20, "k": 5, "space": "initial", "params": {"t": 1}}),
+            ("PROP_3_15", {"n": 20, "k": 5, "space": "initial-pairs"}),
             ("PROP_3_15", {"n": 7, "k": 3, "space": "dual-pairs"}),
         ],
     )
     def test_budget_refusal_flags_upper_bound(self, sid, grid):
-        # past the counting caps the estimate is 2**m or 4**m, not a count
+        # past the counting caps the estimate is 2**m or 4**m, not a count: for the initial
+        # spaces, where the weight antichains alone give more instances than the budget
         with pytest.raises(BudgetError, match="upper bound"):
             exhaustive_sweep(sid, grid)
 
@@ -689,13 +690,16 @@ def _oracle_space_instances(space, grid, params):
         for members in initial_families(n, k):
             yield Instance((SetFamily(n, k, members, _trusted=True),), dict(params))
     elif space == "initial-pairs":
+        t = params.get("t", 1)
         l = grid.get("l", k)
         left = initial_families(n, k)
         right = initial_families(n, l) if l != k else left
         for a in left:
             fa = SetFamily(n, k, a, _trusted=True)
             for b in right:
-                yield Instance((fa, SetFamily(n, l, b, _trusted=True)), dict(params))
+                fb = SetFamily(n, l, b, _trusted=True)
+                if is_cross_t_intersecting(fa, fb, t):
+                    yield Instance((fa, fb), dict(params))
     elif space == "dual-pairs":
         t = params.get("t", 1)
         l = grid.get("l", k)
@@ -861,6 +865,112 @@ class TestInitialFamilies:
         assert len(lefts) == len(initial_families(5, 2))
         assert len(rights) == len(initial_families(5, l))
         assert (lefts == rights) == (l == 2)
+
+
+PAIR_SHAPES = [
+    (n, k, l, t)
+    for n in range(2, 7)
+    for k in range(1, n + 1)
+    for l in (k - 1, k, k + 1)
+    if 0 <= l <= n
+    for t in (1, 2)
+]
+
+
+def reference_initial_pair_totals(sid, n, k, params):
+    """Verdict totals over the full product of initial families, and its size."""
+    fams = [SetFamily(n, k, a, _trusted=True) for a in initial_families(n, k)]
+    totals = {"pass": 0, "vacuous": 0, "fail": 0}
+    for fa in fams:
+        for fb in fams:
+            verdict = check_statement(sid, Instance((fa, fb), dict(params))).verdict
+            totals["fail" if verdict == "FAIL" else verdict] += 1
+    return totals, len(fams) ** 2
+
+
+# the statements that sweep initial pairs: every default, and DICHOTOMY at t = 1 and 2
+INITIAL_PAIR_SWEEPS = [
+    (sid, {}) for sid in sorted(REGISTRY) if REGISTRY[sid].default_space == "initial-pairs"
+] + [("DICHOTOMY", {"t": 1}), ("DICHOTOMY", {"t": 2})]
+
+
+def reference_prop_3_13(i):
+    """The old PROP_3_13 conclusion: every pair of members, every prefix, popcounts."""
+    f, g = i.families
+    prefixes = [(1 << q) - 1 for q in range(1, f.n + 1)]
+    for a in f.members:
+        for b in g.members:
+            if not any(
+                (a & w).bit_count() + (b & w).bit_count() >= q + 1
+                for q, w in enumerate(prefixes, start=1)
+            ):
+                return False
+    return True
+
+
+class TestInitialPairSpace:
+    """B ranges over the initial families inside A's t-dual, not over all initial families."""
+
+    @pytest.mark.parametrize("n,k,l,t", PAIR_SHAPES)
+    def test_equals_cross_filtered_product(self, n, k, l, t):
+        from extremal.verify.harness import _space
+
+        grid, params = {"n": n, "k": k, "l": l}, {"t": t}
+        count, exact, stream = _space("initial-pairs", grid, params, 10**8)
+        got = list(stream)
+        assert exact and count == len(got)
+        assert got == list(_oracle_space_instances("initial-pairs", grid, params))
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3)])
+    @pytest.mark.parametrize("sid,params", INITIAL_PAIR_SWEEPS,
+                             ids=[f"{sid}-t{p['t']}" if p else sid for sid, p in INITIAL_PAIR_SWEEPS])
+    def test_totals_match_full_product(self, n, k, sid, params):
+        rep = exhaustive_sweep(sid, {"n": n, "k": k, "space": "initial-pairs", "params": params})
+        got = rep["result"]["totals"]
+        want, product = reference_initial_pair_totals(sid, n, k, params)
+        assert (got["pass"], got["fail"]) == (want["pass"], want["fail"])
+        dropped = product - sum(got.values())
+        assert dropped > 0
+        assert got["vacuous"] == want["vacuous"] - dropped
+
+    def test_prop_3_13_every_initial_pair_6_3(self):
+        from extremal.verify.registry import _prop_3_13_concl
+
+        fams = [SetFamily(6, 3, a, _trusted=True) for a in initial_families(6, 3)]
+        verdicts = [
+            _prop_3_13_concl(inst) == reference_prop_3_13(inst)
+            for inst in (Instance((fa, fb), {}) for fa in fams for fb in fams)
+        ]
+        assert len(verdicts) == 4356 and all(verdicts)
+
+    def test_prop_3_13_seeded_pairs(self):
+        from extremal.verify.registry import _prop_3_13_concl
+
+        rng = random.Random(18)
+        held = 0
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            k, l = rng.randint(0, n), rng.randint(0, n)
+            density = rng.choice((0.05, 0.2, 0.5))
+            fa = SetFamily(n, k, [m for m in enumerate_ksubsets(n, k) if rng.random() < density])
+            fb = SetFamily(n, l, [m for m in enumerate_ksubsets(n, l) if rng.random() < density])
+            inst = Instance((fa, fb), {})
+            want = reference_prop_3_13(inst)
+            assert _prop_3_13_concl(inst) == want, (fa, fb)
+            held += want
+        assert 100 < held < 500
+
+    def test_counting_stops_at_the_budget(self):
+        from extremal.verify.harness import _space
+
+        count, exact, _ = _space("initial", {"n": 9, "k": 3}, {}, 2 * 21_760)
+        assert (count, exact) == (21_760, True)
+        with pytest.raises(BudgetError, match="at least 43520 evaluations exceed budget 43519"):
+            _space("initial", {"n": 9, "k": 3}, {}, 2 * 21_760 - 1)
+        count, _, _ = _space("initial-pairs", {"n": 6, "k": 3}, {}, 10**8)
+        assert count == 1_796
+        with pytest.raises(BudgetError, match="at least 3000 evaluations exceed budget 2999"):
+            _space("initial-pairs", {"n": 6, "k": 3}, {}, 2999)
 
 
 def reference_dual_members(a_fam, l, t):
