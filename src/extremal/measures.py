@@ -48,12 +48,16 @@ def rho(fam: SetFamily) -> Fraction:
     """max_i deg(i) / |F| as an exact rational; 0 for the empty family.
 
     Equals 1 exactly when the family is a star (all members share a point).
-    The answer is cached on the family.
+    The answer is cached on the family.  A family known to be initial has
+    deg(1) >= deg(2) >= ... >= deg(n), so only element 1 is counted.
     """
     if fam._rho is None:
-        fam._rho = (
-            Fraction(max(degree_vector(fam)), len(fam.members)) if fam.members else Fraction(0)
-        )
+        if not fam.members:
+            fam._rho = Fraction(0)
+        elif fam._initial:
+            fam._rho = Fraction(sum(m & 1 for m in fam.members), len(fam.members))
+        else:
+            fam._rho = Fraction(max(degree_vector(fam)), len(fam.members))
     return fam._rho
 
 

@@ -487,8 +487,9 @@ def _space(space: str, grid: dict, params: dict, budget: int):
             by_members = {fb.members: fb for fb in fams_b}
             for fa in fams_a:
                 dual = _dual(sum(1 << index[m] for m in fa.members), compat)
+                memo: dict = {}
                 for members, _ in _downsets(n, l, dual):
-                    yield Instance((fa, by_members[members]), dict(params))
+                    yield Instance((fa, by_members[members]), dict(params), cross_t=t, memo=memo)
 
         return count, True, stream()
     if space == "dual-pairs":
@@ -501,9 +502,11 @@ def _space(space: str, grid: dict, params: dict, budget: int):
                 fa = fam(k, _decode(abits, a_masks))
                 # B may contain exactly the sets t-compatible with every chosen A-member
                 dual = _dual(abits, compat)
+                memo: dict = {}
                 sub = dual
                 while True:
-                    yield Instance((fa, fam(l, _decode(sub, b_masks))), dict(params))
+                    fb = fam(l, _decode(sub, b_masks))
+                    yield Instance((fa, fb), dict(params), cross_t=t, memo=memo)
                     if sub == 0:
                         break
                     sub = (sub - 1) & dual

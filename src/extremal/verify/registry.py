@@ -96,6 +96,11 @@ class Instance:
 
     families: tuple[SetFamily, ...] = ()
     params: dict = field(default_factory=dict)
+    # Set by the pair spaces, which list only pairs that are cross t-intersecting for
+    # t up to this; 0 means unknown.  Neither field takes part in equality or witnesses.
+    cross_t: int = field(default=0, compare=False)
+    # derived data about families[0], one dict shared by the pairs a space lists with it
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     # kept while bench/tracing.py traces it by name
     def descriptor(self) -> str:
@@ -207,7 +212,7 @@ def _pair_sizes_ok(inst: Instance) -> bool:
 
 
 def _cross(inst: Instance, t: int = 1) -> bool:
-    return is_cross_t_intersecting(inst.families[0], inst.families[1], t)
+    return t <= inst.cross_t or is_cross_t_intersecting(inst.families[0], inst.families[1], t)
 
 
 def _initial_cross(inst: Instance, t: int = 1) -> bool:
@@ -583,29 +588,41 @@ _register(
 )
 
 
+def _prefix_rows(fam: SetFamily) -> tuple[int, list[tuple[int, ...]]]:
+    """Bit-sliced prefix counters over the members of `fam`.
+
+    Row q - 1 holds, for c = 0..k, the members with at least c points in [q];
+    the first value returned is all members.
+    """
+    everyone = (1 << len(fam)) - 1
+    at_least = [everyone] + [0] * fam.k
+    rows = []
+    for q in range(1, fam.n + 1):
+        column = sum(1 << j for j, m in enumerate(fam.members) if m >> (q - 1) & 1)
+        for c in range(min(q, fam.k), 0, -1):
+            at_least[c] |= at_least[c - 1] & column
+        rows.append(tuple(at_least))
+    return everyone, rows
+
+
 def _prop_3_13_concl(i: Instance) -> bool:
     """Each a in F and b in G overfill some prefix: |a ∩ [q]| + |b ∩ [q]| >= q + 1.
 
-    One walk over q = 1..n keeps bit-sliced counters over G's member columns:
-    `at_least[c]` holds the members of G with at least c points in [q].  The
-    members that overfill [q] with a are then `at_least[q + 1 - |a ∩ [q]|]`,
-    so each a costs n lookups.
+    The condition is symmetric in F and G.  The counters are built over F, which
+    the pair spaces hold fixed over consecutive pairs, once per `memo`.  The
+    members of F that overfill [q] with b are `rows[q - 1][q + 1 - |b ∩ [q]|]`,
+    so each b in G costs n lookups.
     """
     f, g = i.families
-    everyone = (1 << len(g)) - 1
-    at_least = [everyone] + [0] * g.k
-    rows = []
-    for q in range(1, f.n + 1):
-        column = sum(1 << j for j, b in enumerate(g.members) if b >> (q - 1) & 1)
-        for c in range(min(q, g.k), 0, -1):
-            at_least[c] |= at_least[c - 1] & column
-        rows.append(tuple(at_least))
-    for a in f.members:
+    if _prop_3_13_concl not in i.memo:
+        i.memo[_prop_3_13_concl] = _prefix_rows(f)
+    everyone, rows = i.memo[_prop_3_13_concl]
+    for b in g.members:
         met = points = 0
         for q, row in enumerate(rows, start=1):
-            points += a >> (q - 1) & 1
-            # points <= q, so at least one point of b is needed
-            if q + 1 - points <= g.k:
+            points += b >> (q - 1) & 1
+            # points <= q, so at least one point of a is needed
+            if q + 1 - points <= f.k:
                 met |= row[q + 1 - points]
                 if met == everyone:
                     break

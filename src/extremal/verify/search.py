@@ -7,7 +7,20 @@ within the cap at its size, and a branch is pruned when that degree exceeds
 the cap even at size + remaining.  Hereditary atoms (t-intersecting, matching
 cap) prune directly; non-triviality also prunes when even adding every
 remaining candidate keeps a common element.  Every atom is invariant under
-permutations of [n], so the root branches on the first k-set [k] alone.
+permutations of [n].
+
+Symmetry: each node carries its twin cells, the classes of elements that every
+chosen set holds both or neither of.  They start as [n] and each chosen set
+splits them.  A candidate is skipped unless, in every cell, it holds the lowest
+elements of that cell.  A skipped X holds some a and misses some twin b < a;
+the swap of a and b fixes every chosen set and maps X to a smaller k-set
+(candidates are in ascending numeric order).  So a family whose path skips X
+has a relabelling whose sorted member sequence is lexicographically smaller,
+and the lex-least relabelling of any family is never skipped.  The optimum is
+therefore kept, and so is the witness: the depth-first order visits families
+in lex order of their sorted members, so the first optimum found is the
+lex-least optimum, which is lex-least among its relabellings too.  At the root
+the one cell is [n], so only [k] is kept.
 
 The matching cap is checked through the newest set only.  A node's parent
 already has matching number at most the cap s, and a maximum matching of the
@@ -33,6 +46,9 @@ class SearchResult:
     witness: SetFamily
     complete: bool
     evaluations: int
+    # rule -> how often it cut: a node or the rest of its candidates (bound),
+    # a node (degree_cap, nu, nontrivial) or one candidate (twin)
+    prunes: dict[str, int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -40,11 +56,21 @@ class SearchResult:
             "witness": [list(elems_of(m)) for m in self.witness.members],
             "complete": self.complete,
             "evaluations": self.evaluations,
+            "prunes": dict(self.prunes),
         }
 
 
 class _BudgetSpent(Exception):
     """Unwinds the search when the evaluation budget runs out."""
+
+
+def _skips_a_twin(cand: int, cells: list[int]) -> bool:
+    """True when, in some twin cell, cand holds an element but misses a lower one."""
+    for cell in cells:
+        held = cand & cell
+        if held and cell & ((1 << held.bit_length()) - 1) != held:
+            return True
+    return False
 
 
 def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
@@ -76,15 +102,21 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     best_members: list[int] = []
     best_size = 0
     evals = 0
+    prunes = dict.fromkeys(("bound", "degree_cap", "nu", "nontrivial", "twin"), 0)
 
-    def dfs(chosen: list[int], cands_left: list[int], degs: list[int], maxdeg: int, common: int):
+    def dfs(chosen: list[int], cands_left: list[int], degs: list[int], maxdeg: int,
+            common: int, cells: list[int]):
         nonlocal best_members, best_size, evals
         evals += 1
         if evals > budget:
             raise _BudgetSpent
         size = len(chosen)
+        if size + len(cands_left) <= best_size:
+            prunes["bound"] += 1
+            return
         # the cap grows with |F|, so a degree over it at size + remaining is over it below
-        if size + len(cands_left) <= best_size or maxdeg > cap(size + len(cands_left)):
+        if maxdeg > cap(size + len(cands_left)):
+            prunes["degree_cap"] += 1
             return
         if nu_cap is not None and chosen:
             # the parent keeps the cap, so only the newest set can break it (module docstring)
@@ -93,6 +125,7 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
             if len(apart) >= nu_cap and matching_number(
                 SetFamily(n, k, apart, _trusted=True)
             ) >= nu_cap:
+                prunes["nu"] += 1
                 return
         if size > best_size and maxdeg <= cap(size):
             best_size = size
@@ -104,13 +137,16 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
                 if not reach:
                     break
             if reach:
+                prunes["nontrivial"] += 1
                 return
         for idx, cand in enumerate(cands_left):
             if size + len(cands_left) - idx <= best_size:
+                prunes["bound"] += 1
                 break
-            # some optimum contains cands[0] = [k], up to a permutation of [n]
-            if not chosen and idx:
-                break
+            # a twin swap maps such a cand to a smaller k-set (module docstring)
+            if _skips_a_twin(cand, cells):
+                prunes["twin"] += 1
+                continue
             new_cands = (
                 [c for c in cands_left[idx + 1 :] if (c & cand).bit_count() >= t_req]
                 if t_req
@@ -126,14 +162,20 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
                 if new_degs[b] > new_max:
                     new_max = new_degs[b]
                 mm ^= low
+            # a singleton cell never skips a candidate, so it is dropped
+            new_cells = [
+                part for cell in cells for part in (cell & cand, cell & ~cand) if part & (part - 1)
+            ]
             chosen.append(cand)
-            dfs(chosen, new_cands, new_degs, new_max, common & cand)
+            dfs(chosen, new_cands, new_degs, new_max, common & cand, new_cells)
             chosen.pop()
 
+    full = (1 << n) - 1
     try:
-        dfs([], list(cands), [0] * n, 0, (1 << n) - 1)
+        dfs([], list(cands), [0] * n, 0, full, [full])
         complete = True
     except _BudgetSpent:
         complete = False
     witness = SetFamily(n, k, sorted(best_members), _trusted=True)
-    return SearchResult(best_size, witness, complete=complete, evaluations=evals)
+    return SearchResult(best_size, witness, complete=complete, evaluations=evals,
+                        prunes=prunes)

@@ -13,6 +13,7 @@ from extremal.measures import (
     addable_r_wise,
     addable_t_intersecting,
     degree,
+    degree_vector,
     grow,
     is_cross_t_intersecting,
     is_nontrivial_masks,
@@ -131,6 +132,33 @@ class TestDegreesAndRho:
             uncached = Fraction(top, len(f)) if f.members else Fraction(0)
             assert rho(f) == uncached
             assert f._rho == uncached and rho(f) == uncached
+
+
+    @pytest.mark.parametrize("n,k", [(7, 3), (8, 3)])
+    def test_rho_of_initial_reads_element_one(self, n, k):
+        for members in initial_families(n, k):
+            f = SetFamily(n, k, members, _trusted=True)
+            f._initial = True
+            want = Fraction(max(degree_vector(f)), len(f)) if members else Fraction(0)
+            assert rho(f) == want
+
+    def test_rho_of_marked_shift_outputs(self):
+        from extremal.shifting import ALWAYS, RhoAtMost, shift_ad_extremis
+
+        rng = random.Random(19)
+        marked = 0
+        for run in range(120):
+            n = rng.randint(4, 8)
+            k = rng.randint(2, min(4, n - 2))
+            f = rand_family(rng, n, k, rng.choice((0.1, 0.3, 0.6)))
+            guard = And((RhoAtMost(0, Fraction(2, 3)),))
+            prop = guard if run % 2 and guard.holds((f,)) else ALWAYS
+            g = shift_ad_extremis((f,), prop)[0][0]
+            if g._initial:
+                marked += 1
+                want = Fraction(max(degree_vector(g)), len(g)) if g.members else Fraction(0)
+                assert rho(g) == want
+        assert marked > 60
 
 
 class TestTransversal:

@@ -960,6 +960,50 @@ class TestInitialPairSpace:
             held += want
         assert 100 < held < 500
 
+    @pytest.mark.parametrize("n,k,l,t", PAIR_SHAPES)
+    def test_listed_pairs_are_cross_t_intersecting(self, n, k, l, t):
+        from extremal.verify.harness import _space
+
+        _, _, stream = _space("initial-pairs", {"n": n, "k": k, "l": l}, {"t": t}, 10**8)
+        for inst in stream:
+            assert inst.cross_t == t
+            assert is_cross_t_intersecting(*inst.families, t)
+
+    def test_dual_pairs_record_their_t(self):
+        from extremal.verify.harness import _space
+
+        for t in (0, 1, 2):
+            _, _, stream = _space("dual-pairs", {"n": 5, "k": 2, "l": 3}, {"t": t}, 10**8)
+            for inst in stream:
+                assert inst.cross_t == t
+                assert is_cross_t_intersecting(*inst.families, t)
+
+    def test_cross_record_outside_equality_and_witnesses(self):
+        from extremal.verify.registry import _cross
+
+        fa, fb = fam(4, 2, (1, 2)), fam(4, 2, (3, 4))
+        trusted = Instance((fa, fb), {}, cross_t=1)
+        plain = Instance((fa, fb), {})
+        # the record answers for t up to its own, and nothing is recorded by default
+        assert _cross(trusted, 1) and not _cross(trusted, 2) and not _cross(plain, 1)
+        assert trusted == plain
+        assert trusted.to_witness("G_THEOREM") == plain.to_witness("G_THEOREM")
+        assert instance_from_witness(trusted.to_witness("G_THEOREM")).cross_t == 0
+
+    def test_prop_3_13_shared_memo_every_initial_pair_6_3(self):
+        from extremal.verify.harness import _space
+        from extremal.verify.registry import _prefix_rows, _prop_3_13_concl
+
+        # t = 0 lists the full product, pairs that break the conclusion included
+        _, _, stream = _space("initial-pairs", {"n": 6, "k": 3}, {"t": 0}, 10**8)
+        verdicts = []
+        for inst in stream:
+            verdicts.append(reference_prop_3_13(inst))
+            assert _prop_3_13_concl(inst) == verdicts[-1], inst.families
+            # the counters of the one first family the memo is shared for
+            assert list(inst.memo.values()) == [_prefix_rows(inst.families[0])]
+        assert len(verdicts) == 4356 and 0 < sum(verdicts) < 4356
+
     def test_counting_stops_at_the_budget(self):
         from extremal.verify.harness import _space
 
@@ -1162,16 +1206,16 @@ class TestSearchRoot:
     # the prunes that visits other nodes fails here.  Explicit ids keep the
     # test names stable.
     @pytest.mark.parametrize("n,k,prop,pinned", [
-        pytest.param(5, 2, And((TIntersecting(0, 1), RhoAtMost(0, Fraction(2, 3)))), 10,
+        pytest.param(5, 2, And((TIntersecting(0, 1), RhoAtMost(0, Fraction(2, 3)))), 5,
                      id="5-2-prop0"),
-        pytest.param(6, 2, And((TIntersecting(0, 1),)), 10, id="6-2-prop1"),
-        pytest.param(6, 2, And((MatchingAtMost(0, 2), RhoAtMost(0, Fraction(1, 2)))), 902,
+        pytest.param(6, 2, And((TIntersecting(0, 1),)), 7, id="6-2-prop1"),
+        pytest.param(6, 2, And((MatchingAtMost(0, 2), RhoAtMost(0, Fraction(1, 2)))), 562,
                      id="6-2-prop2"),
-        pytest.param(6, 3, And((TIntersecting(0, 1), NonTrivial(0))), 513, id="6-3-prop3"),
-        pytest.param(6, 3, And((TIntersecting(0, 2),)), 13, id="6-3-prop4"),
-        pytest.param(7, 3, And((TIntersecting(0, 1), RhoAtMost(0, Fraction(1, 2)))), 25_472,
+        pytest.param(6, 3, And((TIntersecting(0, 1), NonTrivial(0))), 177, id="6-3-prop3"),
+        pytest.param(6, 3, And((TIntersecting(0, 2),)), 5, id="6-3-prop4"),
+        pytest.param(7, 3, And((TIntersecting(0, 1), RhoAtMost(0, Fraction(1, 2)))), 6_696,
                      id="7-3-prop5"),
-        pytest.param(7, 2, And((MatchingAtMost(0, 2), RhoAtMost(0, Fraction(1, 2)))), 15_431,
+        pytest.param(7, 2, And((MatchingAtMost(0, 2), RhoAtMost(0, Fraction(1, 2)))), 4_327,
                      id="7-2-prop6"),
     ])
     def test_fixed_root_keeps_optimum_and_witness(self, n, k, prop, pinned):
@@ -1181,3 +1225,38 @@ class TestSearchRoot:
         assert (res.max_size, list(res.witness.members)) == (size, witness)
         assert res.evaluations < evals
         assert res.evaluations == pinned
+
+    # t = 2, and non-triviality together with the degree cap
+    @pytest.mark.parametrize("n,k,prop,size", [
+        pytest.param(6, 3, And((TIntersecting(0, 2), RhoAtMost(0, Fraction(2, 3)))), 0,
+                     id="6-3-t2-rho"),
+        pytest.param(7, 4, And((TIntersecting(0, 2), RhoAtMost(0, Fraction(2, 3)))), 15,
+                     id="7-4-t2-rho"),
+        pytest.param(6, 3, And((TIntersecting(0, 1), NonTrivial(0), RhoAtMost(0, Fraction(1, 2)))),
+                     10, id="6-3-nontrivial-rho"),
+        pytest.param(7, 3, And((TIntersecting(0, 1), NonTrivial(0), RhoAtMost(0, Fraction(3, 5)))),
+                     10, id="7-3-nontrivial-rho"),
+        pytest.param(6, 2, And((NonTrivial(0), MatchingAtMost(0, 2), RhoAtMost(0, Fraction(1, 2)))),
+                     10, id="6-2-nontrivial-nu-rho"),
+    ])
+    def test_twin_pruning_keeps_optimum_and_witness(self, n, k, prop, size):
+        want = reference_search(n, k, prop)
+        res = search_max(n, k, prop)
+        assert res.complete and res.max_size == size
+        assert (res.max_size, list(res.witness.members)) == want[:2]
+        assert res.evaluations < want[2]
+
+    def test_theorem_1_11_t2_optimum_8_4(self):
+        # the t = 2 case of Theorem 1.11; the 15 4-sets of [6] attain it, each point in 10
+        prop = And((TIntersecting(0, 2), RhoAtMost(0, Fraction(2, 3))))
+        res = search_max(8, 4, prop)
+        assert res.complete and res.max_size == 15
+        assert list(res.witness.members) == list(enumerate_ksubsets(6, 4))
+
+    def test_prune_counts_reported_and_repeatable(self):
+        prop = And((TIntersecting(0, 1), RhoAtMost(0, Fraction(1, 2))))
+        first, second = search_max(7, 3, prop), search_max(7, 3, prop)
+        assert first.prunes["twin"] > 0 and first.prunes["degree_cap"] > 0
+        assert first.prunes == second.prunes
+        assert set(first.prunes) == {"bound", "degree_cap", "nu", "nontrivial", "twin"}
+        assert first.to_json_dict()["prunes"] == first.prunes
