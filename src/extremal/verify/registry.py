@@ -100,7 +100,7 @@ class Instance:
     # t up to this; 0 means unknown.  Neither field takes part in equality or witnesses.
     cross_t: int = field(default=0, compare=False)
     # derived data about families[0], one dict shared by the pairs a space lists with it
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    memo: dict | None = field(default=None, compare=False, repr=False)
 
     # kept while bench/tracing.py traces it by name
     def descriptor(self) -> str:
@@ -614,9 +614,10 @@ def _prop_3_13_concl(i: Instance) -> bool:
     so each b in G costs n lookups.
     """
     f, g = i.families
-    if _prop_3_13_concl not in i.memo:
-        i.memo[_prop_3_13_concl] = _prefix_rows(f)
-    everyone, rows = i.memo[_prop_3_13_concl]
+    memo = {} if i.memo is None else i.memo
+    if _prop_3_13_concl not in memo:
+        memo[_prop_3_13_concl] = _prefix_rows(f)
+    everyone, rows = memo[_prop_3_13_concl]
     for b in g.members:
         met = points = 0
         for q, row in enumerate(rows, start=1):
