@@ -10,8 +10,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import SetFamily, elems_of, enumerate_ksubsets, is_initial, prefix_mask
 
@@ -341,45 +342,35 @@ class _ClosureTester:
         levels[0].add(cand)
 
 
-@dataclass(frozen=True)
-class _ClosureRule:
-    r: int
-    t: int
-    whole_family: bool
-
-    def start(self, members: Sequence[int]) -> _ClosureTester:
-        return _ClosureTester(members, self.r, self.t, self.whole_family)
-
-
-def addable_t_intersecting(t: int) -> _ClosureRule:
+def addable_t_intersecting(t: int) -> Callable[[Sequence[int]], _ClosureTester]:
     """Addability rule: a k-set can join when |c| >= t and it meets every member in >= t points.
 
     Member-wise: the family itself is not checked.
     """
-    return _ClosureRule(2, t, whole_family=False)
+    return partial(_ClosureTester, r=2, t=t, whole_family=False)
 
 
-def addable_r_wise(r: int) -> _ClosureRule:
+def addable_r_wise(r: int) -> Callable[[Sequence[int]], _ClosureTester]:
     """Addability rule: a k-set can join when the family stays r-wise intersecting.
 
     Whole-family: if the family itself is not r-wise intersecting, nothing can join.
     """
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
-    return _ClosureRule(r, 1, whole_family=True)
+    return partial(_ClosureTester, r=r, t=1, whole_family=True)
 
 
 def is_saturated(fam: SetFamily, addable) -> bool:
     """Nonempty, and no k-set outside the family passes the addability test.
 
-    `addable` is a rule with `start(members)`, which returns a tester for
-    this family; the tester's `admits(c)` says whether the k-set c can join.
-    The tester is started once, so the r-wise rules build the intersection
-    levels I_1 ⊆ ... ⊆ I_{r-1} of the family once for all candidates.
+    `addable(members)` returns a tester for this family; the tester's
+    `admits(c)` says whether the k-set c can join.  The tester is started
+    once, so the r-wise rules build the intersection levels
+    I_1 ⊆ ... ⊆ I_{r-1} of the family once for all candidates.
     """
     if not fam.members:
         return False
-    tester = addable.start(fam.members)
+    tester = addable(fam.members)
     have = set(fam.members)
     return not any(
         cand not in have and tester.admits(cand) for cand in enumerate_ksubsets(fam.n, fam.k)
@@ -389,7 +380,7 @@ def is_saturated(fam: SetFamily, addable) -> bool:
 def grow(fam: SetFamily, addable, candidates: Sequence[int]) -> SetFamily:
     """Add candidates, in the given order, that pass the addability test, until none does.
 
-    Starts one tester for the family (`addable.start(members)`), asks it
+    Starts one tester for the family (`addable(members)`), asks it
     `admits(c)` for each candidate outside the family, and tells it `add(c)`
     for each one that joins, so the tester keeps its state across the whole
     growth.  The r-wise rules keep the levels I_1 ⊆ ... ⊆ I_{r-1}; `add(c)`
@@ -397,7 +388,7 @@ def grow(fam: SetFamily, addable, candidates: Sequence[int]) -> SetFamily:
     each S in the old level i-1.  Repeated passes handle non-hereditary
     tests; the result is maximal.
     """
-    tester = addable.start(fam.members)
+    tester = addable(fam.members)
     members = set(fam.members)
     changed = True
     while changed:
@@ -425,16 +416,6 @@ class _PropertyTester:
         self.members.add(cand)
 
 
-@dataclass(frozen=True)
-class _PropertyRule:
-    n: int
-    k: int
-    prop: object
-
-    def start(self, members: Sequence[int]) -> _PropertyTester:
-        return _PropertyTester(self.n, self.k, self.prop, members)
-
-
 def saturate(fam: SetFamily, prop) -> SetFamily:
     """Grow the family in canonical order until no further k-set keeps `prop`.
 
@@ -442,7 +423,8 @@ def saturate(fam: SetFamily, prop) -> SetFamily:
     """
     if not prop.holds((fam,)):
         raise ValueError("property does not hold on the input family")
-    return grow(fam, _PropertyRule(fam.n, fam.k, prop), enumerate_ksubsets(fam.n, fam.k))
+    addable = partial(_PropertyTester, fam.n, fam.k, prop)
+    return grow(fam, addable, enumerate_ksubsets(fam.n, fam.k))
 
 
 @dataclass(frozen=True)
@@ -467,12 +449,12 @@ class MeasureProfile:
         }
 
 
-def measure_profile(fam: SetFamily, max_t_level: int = 4) -> MeasureProfile:
+def measure_profile(fam: SetFamily) -> MeasureProfile:
     tau = {}
     if fam.members:
         for t in range(1, fam.k + 1):
             tau[t] = transversal_number(fam, t)
-    levels = {j: t_level(fam, j) for j in range(2, max_t_level + 1)}
+    levels = {j: t_level(fam, j) for j in range(2, 5)}
     return MeasureProfile(
         rho=rho(fam),
         tau=tau,

@@ -328,6 +328,7 @@ def _downsets(n: int, k: int, allowed: int = -1):
             stack.append((members + (masks[i],), grown, later & allowed))
 
 
+# kept as the tests' lister, and while bench/tracing.py traces it by name
 def initial_families(n: int, k: int):
     """All initial families as ascending member-mask tuples, in ascending order."""
     return [members for members, _ in _downsets(n, k)]
@@ -407,10 +408,12 @@ def _power_of_two(exponent: int, exact: bool, budget: int) -> int:
 def _space(space: str, grid: dict, params: dict, budget: int):
     """Instance count, whether it is exact, and the instance stream of one space.
 
-    Nothing is built unless the stream is consumed, and then each space is
-    built once.  The `initial` spaces are counted by a walk that builds nothing
-    and stops once two evaluations per instance pass the budget; past the
-    `dual-pairs` size cap the count is an upper bound.
+    Nothing is built unless the stream is consumed, and then one instance at a
+    time.  The `initial` spaces stream straight from the downset walk, so no
+    space is listed whole; the pair space builds each family once, when first
+    met.  They are counted by the same walk, which builds nothing and stops
+    once two evaluations per instance pass the budget; past the `dual-pairs`
+    size cap the count is an upper bound.
     """
     if space == "grid":
         # a [lo, hi] list is a dimension swept over lo..hi, any other key a fixed param
@@ -465,7 +468,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
         count = _count_within(_downsets(n, k), budget)
 
         def stream():
-            for members in initial_families(n, k):
+            for members, _ in _downsets(n, k):
                 yield Instance((initial(k, members),), dict(params))
 
         return count, True, stream()
@@ -473,7 +476,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
         # B ranges over the initial l-families inside A's t-dual, itself initial when A is
         _refuse_unwalkable(n, (k, l), budget)
         t = params.get("t", 1)
-        index, compat = _cross_rows(n, k, l, t)
+        compat = _cross_rows(n, k, l, t)[1]
         count = _count_within(
             (pair for _, abits in _downsets(n, k)
              for pair in _downsets(n, l, _dual(abits, compat))),
@@ -481,15 +484,12 @@ def _space(space: str, grid: dict, params: dict, budget: int):
         )
 
         def stream():
-            # each family is built once, so its cached measures serve every pair it is in
-            fams_a = [initial(k, a) for a in initial_families(n, k)]
-            fams_b = [initial(l, b) for b in initial_families(n, l)] if l != k else fams_a
-            by_members = {fb.members: fb for fb in fams_b}
-            for fa in fams_a:
-                dual = _dual(sum(1 << index[m] for m in fa.members), compat)
-                memo: dict = {}
-                for members, _ in _downsets(n, l, dual):
-                    yield Instance((fa, by_members[members]), dict(params), cross_t=t, memo=memo)
+            # one object per family, so its cached measures serve every pair it is in
+            once = cache(initial)
+            for a, abits in _downsets(n, k):
+                fa = once(k, a)
+                for b, _ in _downsets(n, l, _dual(abits, compat)):
+                    yield Instance((fa, once(l, b)), dict(params), cross_t=t)
 
         return count, True, stream()
     if space == "dual-pairs":
@@ -502,11 +502,10 @@ def _space(space: str, grid: dict, params: dict, budget: int):
                 fa = fam(k, _decode(abits, a_masks))
                 # B may contain exactly the sets t-compatible with every chosen A-member
                 dual = _dual(abits, compat)
-                memo: dict = {}
                 sub = dual
                 while True:
                     fb = fam(l, _decode(sub, b_masks))
-                    yield Instance((fa, fb), dict(params), cross_t=t, memo=memo)
+                    yield Instance((fa, fb), dict(params), cross_t=t)
                     if sub == 0:
                         break
                     sub = (sub - 1) & dual
@@ -645,7 +644,7 @@ def _kk_exhaustive(n, k, params, config):
 
     Family `bits` holds member i iff bit i is set.  Its shadow is the OR of
     two table entries, one over the low floor(m/2) member bits and one over
-    the high ones, so memory is about 2 * 2^(m/2) entries, not 2^m.  The
+    the high ones, so the tables hold about 2 * 2^(m/2) entries, not 2^m.  The
     families are visited in ascending `bits`, as the generic sweep visits
     them, so totals, witness and budget use match it.  The statement's
     hypothesis reads only k and l, so it is evaluated once, on the empty

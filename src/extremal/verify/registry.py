@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -97,10 +98,8 @@ class Instance:
     families: tuple[SetFamily, ...] = ()
     params: dict = field(default_factory=dict)
     # Set by the pair spaces, which list only pairs that are cross t-intersecting for
-    # t up to this; 0 means unknown.  Neither field takes part in equality or witnesses.
+    # t up to this; 0 means unknown.  It takes no part in equality or witnesses.
     cross_t: int = field(default=0, compare=False)
-    # derived data about families[0], one dict shared by the pairs a space lists with it
-    memo: dict | None = field(default=None, compare=False, repr=False)
 
     # kept while bench/tracing.py traces it by name
     def descriptor(self) -> str:
@@ -588,6 +587,7 @@ _register(
 )
 
 
+@lru_cache(maxsize=1)
 def _prefix_rows(fam: SetFamily) -> tuple[int, list[tuple[int, ...]]]:
     """Bit-sliced prefix counters over the members of `fam`.
 
@@ -609,15 +609,12 @@ def _prop_3_13_concl(i: Instance) -> bool:
     """Each a in F and b in G overfill some prefix: |a ∩ [q]| + |b ∩ [q]| >= q + 1.
 
     The condition is symmetric in F and G.  The counters are built over F, which
-    the pair spaces hold fixed over consecutive pairs, once per `memo`.  The
-    members of F that overfill [q] with b are `rows[q - 1][q + 1 - |b ∩ [q]|]`,
-    so each b in G costs n lookups.
+    the pair spaces hold fixed over consecutive pairs, so `_prefix_rows` keeps
+    the last family's.  The members of F that overfill [q] with b are
+    `rows[q - 1][q + 1 - |b ∩ [q]|]`, so each b in G costs n lookups.
     """
     f, g = i.families
-    memo = {} if i.memo is None else i.memo
-    if _prop_3_13_concl not in memo:
-        memo[_prop_3_13_concl] = _prefix_rows(f)
-    everyone, rows = memo[_prop_3_13_concl]
+    everyone, rows = _prefix_rows(f)
     for b in g.members:
         met = points = 0
         for q, row in enumerate(rows, start=1):

@@ -631,7 +631,7 @@ class TestIntersectionClosure:
         rng = random.Random(92 + n)
         for f in seeded_families(rng, n, k, 12):
             for r in (2, 3, 4):
-                tester = addable_r_wise(r).start(f.members)
+                tester = addable_r_wise(r)(f.members)
                 assert tester.levels == reference_levels(f.members, r - 1)
                 members = list(f.members)
                 for cand in rng.sample(enumerate_ksubsets(n, k), 4):
