@@ -410,7 +410,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
 
     Nothing is built unless the stream is consumed, and then one instance at a
     time.  The `initial` spaces stream straight from the downset walk, so no
-    space is listed whole; the pair space builds each family once, when first
+    space is listed whole; `initial-pairs` builds each family once, when first
     met.  They are counted by the same walk, which builds nothing and stops
     once two evaluations per instance pass the budget; past the `dual-pairs`
     size cap the count is an upper bound.
