@@ -3,10 +3,10 @@
 A k-set is a plain int whose bit i-1 encodes element i (elements are 1-based
 externally, bit positions 0-based internally).  A SetFamily is an immutable,
 canonically sorted collection of such masks with a declared ground-set size n
-and uniformity k.  All operations are pure functions.  The two cached fields,
-a family's answer to `is_initial` on all of [n] and its `measures.rho`, are
-derived from its members and idempotent, so caching them cannot change any
-result.
+and uniformity k.  All operations are pure functions.  The three cached
+fields, a family's answer to `is_initial` on all of [n], its `measures.rho`
+and its hash, are derived from its members and idempotent, so caching them
+cannot change any result.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache
 from math import comb
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 MAX_GROUND = 63
 
@@ -70,12 +70,13 @@ class SetFamily:
 
     Members are stored as a duplicate-free tuple of masks in ascending numeric
     order (the canonical order).  Instances are immutable after construction
-    and safe to share across threads.  `_initial` caches `is_initial(self)` and
-    `_rho` caches `measures.rho(self)`: each is derived from the members,
-    computed on first use (or set by a builder that knows it) and never changes.
+    and safe to share across threads.  `_initial` caches `is_initial(self)`,
+    `_rho` caches `measures.rho(self)` and `_hash` caches `hash(self)`: each is
+    derived from the members, computed on first use (or set by a builder that
+    knows it) and never changes.
     """
 
-    __slots__ = ("n", "k", "members", "_initial", "_rho")
+    __slots__ = ("n", "k", "members", "_initial", "_rho", "_hash")
 
     def __init__(self, n: int, k: int, members: Iterable[int] = (), *, _trusted: bool = False):
         n = int(n)
@@ -101,6 +102,7 @@ class SetFamily:
         self.members = ms
         self._initial = None
         self._rho = None
+        self._hash = None
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -125,7 +127,9 @@ class SetFamily:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self.members))
+        if self._hash is None:
+            self._hash = hash((self.n, self.k, self.members))
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, elems_of(m))) + "}" for m in self.members[:8])
@@ -213,6 +217,21 @@ def meet(fam: SetFamily, p) -> SetFamily:
     """Members having nonempty intersection with P; uniformity unchanged."""
     pm = as_mask(p)
     return SetFamily(fam.n, fam.k, (m for m in fam.members if m & pm), _trusted=True)
+
+
+def columns(masks: Sequence[int], n: int) -> list[int]:
+    """Per-element bit sets over positions: bit p of entry e - 1 is set iff `masks[p]` holds e.
+
+    The transpose of `masks` for e in [n]; each mask is walked once.
+    """
+    cols = [0] * n
+    for p, m in enumerate(masks):
+        bit = 1 << p
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
 
 
 def _predecessors(members: Iterable[int], upto: int) -> Iterator[int]:

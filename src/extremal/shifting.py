@@ -14,6 +14,13 @@ deg(j) by the same amount and leaves every other degree alone, so
 mask) are rechecked on deg(i) alone, against the cap that `degree_cap` reads
 off both; the exact search shares that cap.  Those five atoms are the only
 ones the engine accepts.
+
+The engine keeps each slot's members at fixed positions, with one column per
+element: the bit set of the positions whose member holds it
+(`core.columns`).  The candidates of a pair (i,j) are then
+`cols[j] & ~cols[i]`, one AND, and deg(i) is a popcount.  A candidate stays
+put only when its image, which holds i and not j, is a member already, so
+the member set is consulted only when some member holds i without j.
 """
 
 from __future__ import annotations
@@ -23,9 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import SetFamily, is_closed
+from .core import SetFamily, columns, is_closed
 from .measures import (
-    degree_vector,
     is_cross_t_intersecting,
     is_nontrivial,
     is_t_intersecting,
@@ -229,11 +235,12 @@ def shift_ad_extremis(
     would apply no shift and block no pair, and the resistant list is empty.
     An initial input thus examines no pair at all.
 
-    Each slot is kept as a member set, a degree vector and a running weight;
-    a step moves only the members that have j, lack i and whose image is
-    absent, and the property is rechecked on deg(i) of the moved slots (see
-    the module docstring).  An atom other than the five defined here raises
-    `TypeError`.
+    Each slot is kept as its members by position, a member set, per-element
+    column bit sets over the positions and a running weight; a step moves
+    only the members that have j, lack i and whose image is absent,
+    rewriting them in place, and the property is rechecked on deg(i) of the
+    moved slots (see the module docstring).  An atom other than the five
+    defined here raises `TypeError`.
     """
     fams = tuple(families)
     if not fams:
@@ -250,7 +257,10 @@ def shift_ad_extremis(
         raise ValueError("property does not hold on the input tuple")
 
     members = [set(f.members) for f in fams]
-    degrees = [degree_vector(f) for f in fams]
+    cols = [columns(f.members, n) for f in fams]  # element e+1 -> positions holding it
+    # per slot: the member at each position, the member set and the columns; a step
+    # rewrites the moved positions in place, so positions never move
+    slots = [(list(f.members), ms, cs) for f, ms, cs in zip(fams, members, cols)]
     weights = [weight(f) for f in fams]
     trace = ShiftTrace()
     changed = True
@@ -262,27 +272,46 @@ def shift_ad_extremis(
         changed = False
         blocked = {}
         for i, j in _pairs(upto):
-            bj = 1 << (j - 1)
-            both = (1 << (i - 1)) | bj
-            moved = [[m for m in ms if m & both == bj and m ^ both not in ms] for ms in members]
+            i1, j1 = i - 1, j - 1
+            both = (1 << i1) | (1 << j1)
+            moved = []
+            for vs, ms, cs in slots:
+                ci, cj = cs[i1], cs[j1]
+                mv = cj & ~ci
+                if mv and ci & ~cj:
+                    # some member holds i without j, so an image may be present already
+                    rest = mv
+                    while rest:
+                        p = rest.bit_length() - 1
+                        rest ^= 1 << p
+                        if vs[p] ^ both in ms:
+                            mv ^= 1 << p
+                moved.append(mv)
             if not any(moved):
                 continue
             # every degree is within its cap already; only deg(i) rises
-            if all(d[i - 1] + len(mv) <= cap for d, mv, cap in zip(degrees, moved, caps)):
+            for cs, mv, cap in zip(cols, moved, caps):
+                if (cs[i1] | mv).bit_count() > cap:
+                    blocked[(i, j)] = tuple(map(bool, moved))
+                    break
+            else:
                 if len(trace.steps) < STEP_CAP:
                     trace.steps.append(((i, j), tuple(weights)))
                 else:
                     trace.steps_truncated += 1
-                for slot, mv in enumerate(moved):
+                for slot, (vs, ms, cs) in enumerate(slots):
+                    mv = moved[slot]
                     if mv:
-                        members[slot].difference_update(mv)
-                        members[slot].update(m ^ both for m in mv)
-                        degrees[slot][i - 1] += len(mv)
-                        degrees[slot][j - 1] -= len(mv)
-                        weights[slot] -= (j - i) * len(mv)
+                        cs[i1] |= mv
+                        cs[j1] ^= mv
+                        weights[slot] -= (j - i) * mv.bit_count()
+                        while mv:
+                            p = mv.bit_length() - 1
+                            mv ^= 1 << p
+                            ms.remove(vs[p])
+                            vs[p] ^= both
+                            ms.add(vs[p])
                 changed = True
-            else:
-                blocked[(i, j)] = tuple(bool(mv) for mv in moved)
 
     out = tuple(SetFamily(f.n, f.k, sorted(ms), _trusted=True) for f, ms in zip(fams, members))
     if not blocked and upto == n:

@@ -16,7 +16,7 @@ from math import comb, prod
 from operator import ge
 
 from ..constructions import brace_daykin, full_star
-from ..core import SetFamily, _predecessors, enumerate_ksubsets
+from ..core import SetFamily, _predecessors, columns, elems_of, enumerate_ksubsets
 from ..measures import (
     addable_r_wise,
     addable_t_intersecting,
@@ -361,13 +361,21 @@ def _cross_rows(n: int, k: int, l: int, t: int) -> tuple[dict, tuple[int, ...]]:
     """The k-sets' bit index, and row j: the k-sets that l-set j meets in at least t points.
 
     In `enumerate_ksubsets` order; built once per (n, k, l, t) and shared, so read-only.
+    Each row is a bit-sliced count over the l-set's columns of k-set indices,
+    saturating at t: `at_least[c]` holds the k-sets met in at least c of the
+    points seen so far.
     """
     a_masks = enumerate_ksubsets(n, k)
-    rows = tuple(
-        sum(1 << i for i, am in enumerate(a_masks) if (am & bm).bit_count() >= t)
-        for bm in enumerate_ksubsets(n, l)
-    )
-    return {m: i for i, m in enumerate(a_masks)}, rows
+    cols = columns(a_masks, n)
+    everyone = (1 << len(a_masks)) - 1
+    rows = []
+    for bm in enumerate_ksubsets(n, l):
+        at_least = [everyone] + [0] * t
+        for seen, e in enumerate(elems_of(bm), start=1):
+            for c in range(min(seen, t), 0, -1):
+                at_least[c] |= at_least[c - 1] & cols[e - 1]
+        rows.append(at_least[t])
+    return {m: i for i, m in enumerate(a_masks)}, tuple(rows)
 
 
 def _dual(abits: int, compat: tuple[int, ...]) -> int:

@@ -18,6 +18,7 @@ from ..core import (
     SetFamily,
     as_mask,
     avoid,
+    columns,
     comb0,
     elems_of,
     family_union,
@@ -597,8 +598,7 @@ def _prefix_rows(fam: SetFamily) -> tuple[int, list[tuple[int, ...]]]:
     everyone = (1 << len(fam)) - 1
     at_least = [everyone] + [0] * fam.k
     rows = []
-    for q in range(1, fam.n + 1):
-        column = sum(1 << j for j, m in enumerate(fam.members) if m >> (q - 1) & 1)
+    for q, column in enumerate(columns(fam.members, fam.n), start=1):
         for c in range(min(q, fam.k), 0, -1):
             at_least[c] |= at_least[c - 1] & column
         rows.append(tuple(at_least))

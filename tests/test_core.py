@@ -13,6 +13,7 @@ from extremal.core import (
     CapacityError,
     SetFamily,
     avoid,
+    columns,
     dumps_family,
     elems_of,
     enumerate_ksubsets,
@@ -320,6 +321,29 @@ class TestFamilyValidation:
         f = SetFamily(6, 3, [])
         assert len(f) == 0
         assert len(avoid(f, (1,))) == 0
+
+
+class TestColumns:
+    def test_transpose_of_members(self):
+        rng = random.Random(5)
+        for n, k, density in ((6, 3, 0.4), (9, 4, 0.6), (12, 2, 0.9), (5, 2, 0.0)):
+            f = rand_family(rng, n, k, density)
+            want = [
+                sum(1 << p for p, m in enumerate(f.members) if m >> e & 1) for e in range(n)
+            ]
+            assert columns(f.members, n) == want
+            assert sum(c.bit_count() for c in columns(f.members, n)) == k * len(f)
+
+
+class TestHash:
+    def test_hash_is_the_tuple_hash_computed_once(self):
+        f = rand_family(random.Random(6), 9, 4, 0.5)
+        assert f._hash is None
+        assert hash(f) == hash((f.n, f.k, f.members))
+        assert hash(f) == hash(SetFamily(9, 4, f.members)) and f._hash == hash(f)
+        # later calls read the slot rather than hashing the members again
+        f._hash = 12345
+        assert hash(f) == 12345
 
 
 class TestTextFormat:

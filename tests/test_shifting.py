@@ -635,3 +635,65 @@ class TestIncrementalEngine:
             out, trace = shift_ad_extremis((tri, tri), prop)
             assert shift_resistant_pairs(out, prop) == trace.resistant_pairs
             assert_same_as_reference((tri, tri), prop)
+
+
+
+
+class TestEngineOnWiderShapes:
+    """Three slots, and slots whose positions span several 30-bit digits."""
+
+    GUARDS = ("none", "rho<=1/2", "cross(0,1)&rho<=2/3")
+
+    def draw(self, rng, n, k, slots, density, kind):
+        """Random slots; "spread" redraws each until its rho is at most 1/2, and "cross"
+        puts three sets in slot 0 and most of their dual in slot 1."""
+        masks = enumerate_ksubsets(n, k)
+        out = []
+        for _ in range(slots):
+            f = SetFamily(n, k, [m for m in masks if rng.random() < density])
+            while kind == "spread" and not (f and rho(f) <= Fraction(1, 2)):
+                f = SetFamily(n, k, [m for m in masks if rng.random() < density])
+            out.append(f)
+        if kind == "cross":
+            out[0] = SetFamily(n, k, rng.sample(masks, 3))
+            dual = [c for c in masks if all(c & m for m in out[0].members)]
+            out[1] = SetFamily(n, k, [c for c in dual if rng.random() < 0.9])
+        return tuple(out)
+
+    def run_guards(self, fams, ran):
+        n, slots = fams[0].n, len(fams)
+        for spec in self.GUARDS[: 2 if slots == 1 else 3]:
+            prop = parse_property_spec(spec, slots=slots)
+            if prop.holds(fams):
+                ran[spec] += 1
+                for upto in (None, 3, n - 1):
+                    trace = assert_same_as_reference(fams, prop, upto)
+                    ran["steps"] += len(trace.steps)
+                    ran["blocked"] += len(trace.resistant_pairs)
+
+    @pytest.mark.parametrize("n, k", [(7, 3), (8, 2), (8, 3)])
+    def test_three_slots(self, n, k):
+        rng = random.Random(n * 10 + k)
+        ran = dict.fromkeys((*self.GUARDS, "steps", "blocked"), 0)
+        for kind in ("random", "spread", "cross") * 8:
+            density = rng.choice((0.2, 0.3, 0.45))
+            self.run_guards(self.draw(rng, n, k, 3, density, kind), ran)
+        assert ran["none"] == 24 and ran["rho<=1/2"] >= 8, ran
+        assert ran["cross(0,1)&rho<=2/3"] >= 3, ran
+        assert ran["steps"] > 0 and ran["blocked"] > 0, ran
+
+    @pytest.mark.parametrize("n, k", [(9, 4), (10, 3)])
+    def test_more_than_sixty_members(self, n, k):
+        rng = random.Random(n * 10 + k)
+        ran = dict.fromkeys((*self.GUARDS, "steps", "blocked"), 0)
+        draws = [(1, 0.6, "random"), (1, 0.7, "spread"), (2, 0.6, "spread")]
+        if n == 9:
+            # at (10,3) the dual of three sets with rho <= 2/3 has fewer than 60 members
+            draws += [(2, 0, "cross")] * 6
+        for slots, density, kind in draws:
+            fams = self.draw(rng, n, k, slots, density, kind)
+            assert max(map(len, fams)) > 60
+            self.run_guards(fams, ran)
+        assert ran["none"] == len(draws) and ran["rho<=1/2"] >= 2, ran
+        assert ran["cross(0,1)&rho<=2/3"] >= (2 if n == 9 else 0), ran
+        assert ran["steps"] > 0 and (ran["blocked"] > 0 or n == 10), ran

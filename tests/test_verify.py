@@ -1062,6 +1062,20 @@ class TestCrossRows:
                                 assert len(a_fam) == density * comb(n, k)
                             assert list(b_fam.members) == reference_dual_members(a_fam, l, t)
 
+    @pytest.mark.parametrize(
+        "n, k, l, t", [(12, 4, 3, 2), (20, 3, 3, 1), (8, 3, 3, 0), (8, 2, 3, 4), (9, 3, 4, 3)]
+    )
+    def test_table_matches_popcount_table(self, n, k, l, t):
+        from extremal.verify.harness import _cross_rows
+
+        a_masks = enumerate_ksubsets(n, k)
+        index, rows = _cross_rows(n, k, l, t)
+        assert index == {m: i for i, m in enumerate(a_masks)}
+        assert rows == tuple(
+            sum(1 << i for i, am in enumerate(a_masks) if (am & bm).bit_count() >= t)
+            for bm in enumerate_ksubsets(n, l)
+        )
+
 
 def reference_kk_sweep(n, k, l):
     """The KRUSKAL_KATONA fast path before meet in the middle: one 2^m-entry shadow table.
