@@ -637,8 +637,6 @@ class TestIncrementalEngine:
             assert_same_as_reference((tri, tri), prop)
 
 
-
-
 class TestEngineOnWiderShapes:
     """Three slots, and slots whose positions span several 30-bit digits."""
 
