@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,20 +43,6 @@ from .verify import (
 )
 from .verify.harness import _KINDS
 from .verify.recipes import recipe_for, suite_config
-
-
-@dataclass
-class RunConfig:
-    """Fully serialized invocation, embedded in every report."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    budget: int | None = None
-    out: str | None = None
-    format: str = "text"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def parse_property_spec(text: str, slots: int = 1):
@@ -87,13 +72,13 @@ def _parse_atom(tok: str, slots: int) -> list:
         t = int(tok[len("t-intersecting(") : -1])
         return [TIntersecting(s, t) for s in range(slots)]
     if tok.startswith("cross(") and tok.endswith(")"):
-        parts = [p.strip() for p in tok[len("cross(") : -1].split(",")]
-        a, b = int(parts[0]), int(parts[1])
+        a, b, *rest = (p.strip() for p in tok[len("cross(") : -1].split(","))
+        a, b = int(a), int(b)
         if not (0 <= a < slots and 0 <= b < slots):
             raise ValueError(f"slot outside 0..{slots - 1}")
-        t = 1
-        if len(parts) == 3:
-            t = int(parts[2].split("=")[-1])
+        if len(rest) > 1:
+            raise ValueError("cross takes two slots and at most one t")
+        t = int(rest[0].removeprefix("t=")) if rest else 1
         return [CrossTIntersecting(a, b, t)]
     if tok.startswith("rho<="):
         frac = tok[len("rho<=") :]
@@ -293,14 +278,14 @@ def cmd_verify(args) -> int:
     except (BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run_config = RunConfig(
-        command="verify",
-        params={"id": args.id, "exhaustive": args.exhaustive, "sample": args.sample,
-                "suite": args.suite, "rerun": args.rerun},
-        budget=budget,
-        out=args.out,
-        format=args.format,
-    ).to_dict()
+    run_config = {
+        "command": "verify",
+        "params": {"id": args.id, "exhaustive": args.exhaustive, "sample": args.sample,
+                   "suite": args.suite, "rerun": args.rerun},
+        "budget": budget,
+        "out": args.out,
+        "format": args.format,
+    }
     bundle = {"run_config": run_config, "reports": reports,
               "timestamp": {"unix": time.time()}} if len(reports) != 1 else {
         "run_config": run_config, **reports[0], "timestamp": {"unix": time.time()}}
@@ -324,13 +309,13 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run_config = RunConfig(
-        command="search",
-        params={"n": args.n, "k": args.k, "prop": args.prop},
-        budget=args.budget,
-        out=args.out,
-        format=args.format,
-    ).to_dict()
+    run_config = {
+        "command": "search",
+        "params": {"n": args.n, "k": args.k, "prop": args.prop},
+        "budget": args.budget,
+        "out": args.out,
+        "format": args.format,
+    }
     report = {"run_config": run_config, "result": result.to_json_dict(),
               "timestamp": {"unix": time.time()}}
     if args.out:

@@ -245,62 +245,49 @@ def matching_number(fam: SetFamily) -> int:
     return best
 
 
-def _greedy_transversal(members: Sequence[int], n: int, t: int) -> int:
-    tmask = 0
-    size = 0
-    deficient = list(members)
-    while deficient:
-        gains = [0] * (n + 1)
-        for m in deficient:
-            rest = m & ~tmask
-            while rest:
-                low = rest & -rest
-                gains[low.bit_length()] += 1
-                rest ^= low
-        x = max(range(1, n + 1), key=lambda i: gains[i])
-        tmask |= 1 << (x - 1)
-        size += 1
-        deficient = [m for m in deficient if (m & tmask).bit_count() < t]
-    return size
-
-
 def transversal_number(fam: SetFamily, t: int) -> int:
     """Minimum size of a set meeting every member in >= t elements.
 
-    Exact branch and bound: branch on the elements of a deepest-deficiency
-    member, seeded with a greedy upper bound.  0 for the empty family.
+    Exact branch and bound over two bit sets, the chosen and the excluded
+    elements.  A node branches on the free elements (neither chosen nor
+    excluded) of a most deficient member: each child chooses one, and the
+    later siblings exclude it, so each set is reached once.  A node is cut
+    when some member has fewer free elements than it still needs, or when its
+    size plus the worst deficiency reaches the best size found.  The search
+    starts from best = n, since [n] meets every member in k >= t points.
+    0 for the empty family.
     """
     ms = fam.members
     if not ms:
         return 0
     if not 1 <= t <= fam.k:
         raise ValueError(f"t={t} outside [1, k={fam.k}]")
-    n = fam.n
-    best = _greedy_transversal(ms, n, t)
+    best = fam.n
 
-    def dfs(tmask: int, size: int) -> None:
+    def dfs(chosen: int, excluded: int, size: int) -> None:
         nonlocal best
-        if size >= best:
-            return
-        worst = None
-        worst_def = 0
+        taken = chosen | excluded
+        worst = worst_def = 0
         for m in ms:
-            d = t - (m & tmask).bit_count()
-            if d > worst_def:
-                worst_def = d
-                worst = m
-        if worst is None:
+            d = t - (m & chosen).bit_count()
+            if d > 0:
+                if (m & ~taken).bit_count() < d:
+                    return
+                if d > worst_def:
+                    worst, worst_def = m, d
+        if not worst_def:
             best = size
             return
         if size + worst_def >= best:
             return
-        rest = worst & ~tmask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            dfs(tmask | low, size + 1)
+        free = worst & ~taken
+        while free:
+            low = free & -free
+            free ^= low
+            dfs(chosen | low, excluded, size + 1)
+            excluded |= low
 
-    dfs(0, 0)
+    dfs(0, 0, 0)
     return best
 
 

@@ -77,6 +77,8 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     """Exact max |F| over k-graphs on [n] subject to the property, with witness.
 
     Returns best-found with complete=False if the evaluation budget runs out.
+    Raises ValueError when a complete search accepts no family and the empty
+    family fails the property too, so that no family satisfies it.
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
     t_req = 0
@@ -177,5 +179,7 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     except _BudgetSpent:
         complete = False
     witness = SetFamily(n, k, sorted(best_members), _trusted=True)
+    if complete and not best_size and not prop.holds((witness,)):
+        raise ValueError(f"no family satisfies the property on (n, k) = ({n}, {k})")
     return SearchResult(best_size, witness, complete=complete, evaluations=evals,
                         prunes=prunes)

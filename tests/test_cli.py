@@ -99,6 +99,7 @@ class TestConstructMeasure:
         ("threshold", "6,3,3,2", 10),
         ("blocks", "2,3", 11),
         ("plane", "3", 13),
+        ("plane", "4", 21),
         ("fano", "", 7),
         ("full", "5,2", 10),
     ])
@@ -107,6 +108,12 @@ class TestConstructMeasure:
         out = capsys.readouterr().out
         assert out.count("predicted_total") == 1
         assert f"[{cid}] predicted_total={total}\n" in out
+
+    def test_csv_profile_of_the_order_4_plane(self, capsys):
+        assert main(["--format", "csv", "construct", "--id", "plane", "--params", "4"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == ("size=21,rho=5/21,nu=1,initial=False,"
+                           "tau1=5,tau2=12,tau3=15,tau4=20,tau5=21")
 
     def test_no_predicted_total_without_closed_form(self, capsys):
         assert main(["construct", "--id", "ex_1_7", "--params", "8,3"]) == 0
@@ -162,6 +169,8 @@ class TestShiftCommand:
         (1, "cross(-1,0)"),
         (2, "cross(0,2)"),
         (2, "rho<=1/2&cross(1,-2,t=1)"),
+        (2, "cross(0,1,2,3)"),
+        (2, "cross(0,1,foo=2)"),
     ])
     def test_cross_slot_outside_files_exit_2(self, tmp_path, capsys, files, prop):
         paths = []
@@ -574,6 +583,19 @@ class TestSearchCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "cannot parse property atom" in err[0]
         assert prop.split("&")[-1] in err[0]
+
+    # the empty family is the only one left, and it fails the property too
+    @pytest.mark.parametrize("n,k,prop", [
+        (4, 4, "nontrivial"),
+        (5, 2, "nu<=-1"),
+        (5, 2, "rho<=-1/2"),
+    ])
+    def test_no_family_satisfies_exit_2(self, capsys, n, k, prop):
+        assert main(["search", "--n", str(n), "--k", str(k), "--prop", prop]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: no family satisfies the property on (n, k) = ({n}, {k})"]
 
     def test_search_needs_dims(self):
         with pytest.raises(SystemExit) as exc:

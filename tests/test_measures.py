@@ -166,6 +166,10 @@ class TestTransversal:
         assert transversal_number(frankl_family(6, 3, 1), 1) == 2
         assert transversal_number(full_star(8, 3, 2), 2) == 2
         assert transversal_number(fano(), 1) == 3
+        # tau_1 = q + 1, and tau_{q+1} is the point count q^2 + q + 1
+        for q, taus in ((2, [3, 6, 7]), (3, [4, 9, 12, 13]), (4, [5, 12, 15, 20, 21])):
+            f = projective_plane(q)
+            assert [transversal_number(f, t) for t in range(1, f.k + 1)] == taus
 
     def test_tau_t_iff_t_star(self):
         rng = random.Random(4)
@@ -177,12 +181,14 @@ class TestTransversal:
 
     def test_against_brute_force(self):
         rng = random.Random(6)
-        for _ in range(40):
-            f = rand_family(rng, 7, 3, 0.3)
-            if not f.members:
-                continue
-            for t in (1, 2):
-                assert transversal_number(f, t) == oracle_transversal(f, t)
+        for n in range(2, 9):
+            for k in range(1, min(n, 4) + 1):
+                for _ in range(40):
+                    f = rand_family(rng, n, k, 0.3)
+                    if not f.members:
+                        continue
+                    for t in range(1, k + 1):
+                        assert transversal_number(f, t) == oracle_transversal(f, t)
 
     def test_validation(self):
         assert transversal_number(SetFamily(6, 3, []), 1) == 0

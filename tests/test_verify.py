@@ -310,6 +310,9 @@ class TestSearch:
     def test_infeasible_property(self):
         res = search_max(5, 2, And((TIntersecting(0, 1), RhoAtMost(0, Fraction(1, 2)))))
         assert res.max_size == 0 and len(res.witness) == 0 and res.complete
+        # no 2-set is 3-intersecting, and the empty witness is valid
+        res = search_max(5, 2, And((TIntersecting(0, 3),)))
+        assert res.max_size == 0 and len(res.witness) == 0 and res.complete
 
     def test_fano_scale(self):
         prop = And((TIntersecting(0, 1), RhoAtMost(0, Fraction(1, 2))))
