@@ -114,16 +114,11 @@ def brace_daykin(n: int, r: int) -> tuple[SetFamily, ...]:
         raise ValueError(f"need r >= 3 and n >= r+1, got ({n},{r})")
     window = list(range(1, r + 2))
     cores = [mask_of(set(window) - {i}) for i in window] + [mask_of(window)]
-    outside = [i for i in range(r + 2, n + 1)]
     by_size: dict[int, list[int]] = {}
     for core in cores:
-        for bits in range(1 << len(outside)):
-            m = core
-            bb = bits
-            while bb:
-                low = bb & -bb
-                m |= 1 << (outside[low.bit_length() - 1] - 1)
-                bb ^= low
+        # the outside points r+2..n are the bits from r+1 up
+        for bits in range(1 << (n - r - 1)):
+            m = core | bits << (r + 1)
             by_size.setdefault(m.bit_count(), []).append(m)
     return tuple(SetFamily(n, s, ms) for s, ms in sorted(by_size.items()))
 

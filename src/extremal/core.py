@@ -177,28 +177,18 @@ def full_family(n: int, k: int) -> SetFamily:
 
 def link(fam: SetFamily, e) -> SetFamily:
     """Members containing E, with E removed; uniformity drops by |E|."""
-    em = as_mask(e)
-    t = em.bit_count()
-    if t > fam.k:
-        return SetFamily(fam.n, 0, ())
-    # members that hold E stay distinct and in order once it is removed.  A list, not a
-    # generator: tuple() resizes a tuple grown from a generator, which leaves CPython's
-    # per-size tuple free lists filling up (about 0.3 MB over the suite's identity checks)
-    return SetFamily(
-        fam.n, fam.k - t, [m & ~em for m in fam.members if m & em == em], _trusted=True
-    )
+    return trace(fam, e, e)
 
 
 def avoid(fam: SetFamily, e) -> SetFamily:
     """Members disjoint from E; uniformity unchanged."""
-    em = as_mask(e)
-    return SetFamily(fam.n, fam.k, (m for m in fam.members if not m & em), _trusted=True)
+    return trace(fam, (), e)
 
 
 def trace(fam: SetFamily, e0, e) -> SetFamily:
     """Members whose intersection with E is exactly E0, with E removed.
 
-    Agrees with link when E0 = E and with avoid when E0 is empty.
+    `link` is the case E0 = E and `avoid` the case E0 = {}.
     """
     e0m = as_mask(e0)
     em = as_mask(e)
@@ -207,7 +197,9 @@ def trace(fam: SetFamily, e0, e) -> SetFamily:
     t = e0m.bit_count()
     if t > fam.k:
         return SetFamily(fam.n, 0, ())
-    # members that agree on E stay distinct and in order once it is removed
+    # members that agree on E stay distinct and in order once it is removed.  A list, not a
+    # generator: tuple() resizes a tuple grown from a generator, which leaves CPython's
+    # per-size tuple free lists filling up (about 0.3 MB over the suite's identity checks)
     return SetFamily(
         fam.n, fam.k - t, [m & ~em for m in fam.members if m & em == e0m], _trusted=True
     )
@@ -216,7 +208,7 @@ def trace(fam: SetFamily, e0, e) -> SetFamily:
 def meet(fam: SetFamily, p) -> SetFamily:
     """Members having nonempty intersection with P; uniformity unchanged."""
     pm = as_mask(p)
-    return SetFamily(fam.n, fam.k, (m for m in fam.members if m & pm), _trusted=True)
+    return SetFamily(fam.n, fam.k, [m for m in fam.members if m & pm], _trusted=True)
 
 
 def columns(masks: Sequence[int], n: int) -> list[int]:

@@ -7,14 +7,13 @@ Rationals are exact fractions.Fraction values, never floats.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import SetFamily, elems_of, enumerate_ksubsets, is_initial, prefix_mask
+from .core import SetFamily, columns, enumerate_ksubsets, is_initial, prefix_mask
 
 
 def degree(fam: SetFamily, i: int) -> int:
@@ -37,12 +36,11 @@ def degree_vector(fam: SetFamily) -> list[int]:
 
 
 def max_pair_degree(fam: SetFamily) -> int:
-    """The most members that contain any one 2-set, in one pass; 0 if no member has two."""
-    counts: Counter[int] = Counter()
-    for m in fam.members:
-        bits = [1 << (e - 1) for e in elems_of(m)]
-        counts.update(a | b for a, b in combinations(bits, 2))
-    return max(counts.values(), default=0)
+    """The most members that contain any one 2-set, as the largest popcount of two columns' AND.
+
+    0 if no member has two elements.
+    """
+    return max((a & b).bit_count() for a, b in combinations(columns(fam.members, fam.n), 2))
 
 
 def rho(fam: SetFamily) -> Fraction:
@@ -212,7 +210,8 @@ def matching_number(fam: SetFamily) -> int:
     """Maximum number of pairwise disjoint members, by exact branch and bound.
 
     A node's candidates are the later members disjoint from all it has chosen,
-    and its bound is its count plus min(candidates, |their union| // k).  A
+    and its bound is its count plus min(candidates, |their union| // k), or
+    plus min(candidates, 1) at k = 0, where the empty set is the only possible member.  A
     node is cut when the best so far reaches that bound, and a node stops
     trying further children as soon as a child brings the best up to it.  So
     the search ends as soon as it finds min(|F|, |union of F| // k) disjoint
@@ -231,7 +230,7 @@ def matching_number(fam: SetFamily) -> int:
         reach = 0
         for c in cands:
             reach |= c
-        cap = count + min(len(cands), reach.bit_count() // k if k else 0)
+        cap = count + min(len(cands), reach.bit_count() // k if k else 1)
         if cap <= best:
             return
         for idx, m in enumerate(cands):

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 from .core import SetFamily, columns, is_closed
 from .measures import (
+    degree_vector,
     is_cross_t_intersecting,
     is_nontrivial,
     is_t_intersecting,
@@ -60,15 +61,8 @@ def shift(fam: SetFamily, i: int, j: int) -> SetFamily:
 
 
 def weight(fam: SetFamily) -> int:
-    """Sum of all elements over all members; strictly drops on effective shifts."""
-    total = 0
-    for m in fam.members:
-        mm = m
-        while mm:
-            low = mm & -mm
-            total += low.bit_length()
-            mm ^= low
-    return total
+    """Sum of all elements over all members, sum e*deg(e); strictly drops on effective shifts."""
+    return sum(e * d for e, d in enumerate(degree_vector(fam), 1))
 
 
 def _pairs(n: int):
@@ -236,10 +230,10 @@ def shift_ad_extremis(
     An initial input thus examines no pair at all.
 
     Each slot is kept as its members by position, a member set, per-element
-    column bit sets over the positions and a running weight; a step moves
-    only the members that have j, lack i and whose image is absent,
-    rewriting them in place, and the property is rechecked on deg(i) of the
-    moved slots (see the module docstring).  An atom other than the five
+    column bit sets over the positions and a running weight, sum e*deg(e)
+    read off the columns; a step moves only the members that have j, lack i
+    and whose image is absent, rewriting them in place, and the property is
+    rechecked on deg(i) of the moved slots (see the module docstring).  An atom other than the five
     defined here raises `TypeError`.
     """
     fams = tuple(families)
@@ -261,7 +255,7 @@ def shift_ad_extremis(
     # per slot: the member at each position, the member set and the columns; a step
     # rewrites the moved positions in place, so positions never move
     slots = [(list(f.members), ms, cs) for f, ms, cs in zip(fams, members, cols)]
-    weights = [weight(f) for f in fams]
+    weights = [sum(e * c.bit_count() for e, c in enumerate(cs, 1)) for cs in cols]
     trace = ShiftTrace()
     changed = True
     blocked = {}  # (i,j) -> moved per slot, for the last pass

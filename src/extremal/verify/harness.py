@@ -293,10 +293,8 @@ def _shift_order(n: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...]
     need = tuple(sum(1 << index[p] for p in _predecessors((m,), n)) for m in masks)
     succ = [[] for _ in masks]
     for j, bits in enumerate(need):
-        while bits:
-            low = bits & -bits
-            succ[low.bit_length() - 1].append(j)
-            bits ^= low
+        for p in elems_of(bits):
+            succ[p - 1].append(j)
     return need, tuple(map(tuple, succ))
 
 

@@ -154,12 +154,7 @@ class StatementReport:
 def check_identity_2_3(fam: SetFamily, e) -> bool:
     """Degree sum over E equals the weighted trace decomposition, both exact."""
     em = as_mask(e)
-    lhs = 0
-    mm = em
-    while mm:
-        low = mm & -mm
-        lhs += degree(fam, low.bit_length())
-        mm ^= low
+    lhs = sum(degree(fam, x) for x in elems_of(em))
     rhs = 0
     sub = em
     while sub:
@@ -310,6 +305,8 @@ def _hyp_big_cross(i: Instance) -> bool:
         and f.n >= 39 * f.k
         and len(f) >= bound
         and len(g) >= bound
+        and len(f) > 0
+        and len(g) > 0
         and _cross(i)
     )
 
@@ -337,6 +334,8 @@ _register(
     lambda i: _f(i).k == _g(i).k
     and _f(i).n >= 39 * _f(i).k
     and min(len(_f(i)), len(_g(i))) >= triangle_size(_f(i).n, _f(i).k)
+    and len(_f(i)) > 0
+    and len(_g(i)) > 0
     and _cross(i),
     lambda i: _min_rho(i)
     > Fraction(2, 3) * (1 - Fraction(_f(i).k - 2, _f(i).n - 2)),
@@ -349,6 +348,8 @@ _register(
     lambda i: 0 < i.params["eps"] <= Fraction(1, 58)
     and _f(i).k == _g(i).k
     and min(len(_f(i)), len(_g(i))) * i.params["eps"] >= comb0(_f(i).n - 3, _f(i).k - 3)
+    and len(_f(i)) > 0
+    and len(_g(i)) > 0
     and _cross(i),
     lambda i: _max_rho(i) > Fraction(1, 2) - i.params["eps"],
     "medium-size cross-intersecting families: one degree ratio near one half",
@@ -512,6 +513,8 @@ _register(
     lambda i: _f(i).k == _g(i).k
     and 2 * _f(i).n >= 7 * _f(i).k
     and min(len(_f(i)), len(_g(i))) >= triangle_size(_f(i).n, _f(i).k)
+    and len(_f(i)) > 0
+    and len(_g(i)) > 0
     and _initial_cross(i),
     lambda i: _min_rho(i) > Fraction(2, 3),
     "initial triangle-size cross-intersecting pairs: both above two thirds",
@@ -902,7 +905,7 @@ _register(
 _register(
     "EQ_2_1",
     "family",
-    lambda i: is_initial(_f(i)),
+    lambda i: _f(i).k >= 1 and is_initial(_f(i)),
     lambda i: set(shadow(avoid(_f(i), 1), 1).members) <= set(link(_f(i), 1).members),
     "for initial families the shadow of the avoiding part sits inside the link",
     default_space="initial",
@@ -911,7 +914,7 @@ _register(
 _register(
     "MATCHING_COR",
     "family",
-    lambda i: len(_f(i)) > 0 and is_initial(_f(i)),
+    lambda i: _f(i).k >= 1 and len(_f(i)) > 0 and is_initial(_f(i)),
     lambda i: rho(_f(i)) >= Fraction(1, matching_number(_f(i)) + 1),
     "initial families: degree ratio at least 1/(matching number + 1)",
     default_space="initial",

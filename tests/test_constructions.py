@@ -5,7 +5,15 @@ from math import comb
 
 import pytest
 
-from extremal.core import CapacityError, SetFamily, comb0, enumerate_ksubsets, is_initial, prefix_mask
+from extremal.core import (
+    CapacityError,
+    SetFamily,
+    comb0,
+    enumerate_ksubsets,
+    is_initial,
+    mask_of,
+    prefix_mask,
+)
 from extremal.constructions import (
     CONSTRUCTION_IDS,
     brace_daykin,
@@ -164,6 +172,32 @@ class TestBraceDaykin:
         for m in members:
             acc &= m
         assert acc == 0
+
+
+def reference_brace_daykin(n, r):
+    """The loop `brace_daykin` had before it shifted the outside bits into place."""
+    window = list(range(1, r + 2))
+    cores = [mask_of(set(window) - {i}) for i in window] + [mask_of(window)]
+    outside = [i for i in range(r + 2, n + 1)]
+    by_size = {}
+    for core in cores:
+        for bits in range(1 << len(outside)):
+            m = core
+            bb = bits
+            while bb:
+                low = bb & -bb
+                m |= 1 << (outside[low.bit_length() - 1] - 1)
+                bb ^= low
+            by_size.setdefault(m.bit_count(), []).append(m)
+    return tuple(SetFamily(n, s, ms) for s, ms in sorted(by_size.items()))
+
+
+class TestBraceDaykinOracle:
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_matches_reference(self, n):
+        for r in range(3, n):
+            got, want = brace_daykin(n, r), reference_brace_daykin(n, r)
+            assert [(s.n, s.k, s.members) for s in got] == [(s.n, s.k, s.members) for s in want]
 
 
 class TestPlanes:

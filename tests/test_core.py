@@ -22,6 +22,7 @@ from extremal.core import (
     loads_family,
     mask_of,
     meet,
+    prefix_mask,
     trace,
 )
 from extremal.constructions import fano, frankl_family, full_star
@@ -208,6 +209,45 @@ class TestTrustedRestrictions:
         for density in (0.1, 0.3, 0.6, 0.9):
             for _ in range(5):
                 self.check(rand_family(rng, 8, 3, density))
+
+
+class TestRestrictionFilters:
+    """`link`, `avoid`, `trace` and `meet` against comprehension filters, E larger than k included."""
+
+    @staticmethod
+    def parts(f):
+        return (f.n, f.k, f.members)
+
+    @staticmethod
+    def traced(f, e0, e):
+        if e0.bit_count() > f.k:
+            return (f.n, 0, ())
+        return (f.n, f.k - e0.bit_count(), tuple(m & ~e for m in f.members if m & e == e0))
+
+    def check(self, f, e0, e):
+        assert self.parts(trace(f, e0, e)) == self.traced(f, e0, e)
+        assert self.parts(link(f, e)) == self.traced(f, e, e)
+        assert self.parts(avoid(f, e)) == (f.n, f.k, tuple(m for m in f.members if not m & e))
+        assert self.parts(meet(f, e)) == (f.n, f.k, tuple(m for m in f.members if m & e))
+
+    def test_seeded_families(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            f = rand_family(rng, n, rng.randint(0, n), rng.random())
+            e = rng.randrange(1 << n)
+            e0 = e & rng.randrange(1 << n)
+            self.check(f, e0, e)
+
+    def test_e_larger_than_k(self):
+        rng = random.Random(25)
+        for n in range(3, 9):
+            f = rand_family(rng, n, 2)
+            e = prefix_mask(3)
+            for e0 in (0, 1, 3, 7):
+                self.check(f, e0, e)
+            assert len(link(f, e)) == 0 and link(f, e).k == 0
+            assert avoid(f, e).k == 2
 
 
 class TestShiftOrder:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -230,6 +231,16 @@ class TestMatching:
         for members in families:
             f = SetFamily(7, 3, members, _trusted=True)
             assert matching_number(f) == oracle_matching(f)
+
+
+class TestMatchingSmallSpaces:
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(2, 11) for k in range(n + 1) if comb(n, k) <= 10]
+    )
+    def test_every_family(self, n, k):
+        # k = 0 included: {∅} holds one empty member, a matching of size 1
+        for f in all_families(n, k):
+            assert matching_number(f) == oracle_matching(f), f
 
 
 class TestIntersectingPredicates:

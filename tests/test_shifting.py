@@ -121,6 +121,28 @@ class TestWeight:
                 assert weight(g) < weight(f)
 
 
+class TestTraceWeights:
+    """Each step's weights are weight() of the tuple before it, and the final ones of the output."""
+
+    def test_random_tuples(self):
+        rng = random.Random(24)
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            k = rng.randint(1, n)
+            fams = tuple(rand_family(rng, n, k, rng.random()) for _ in range(rng.randint(1, 3)))
+            if rng.random() < 0.5 or not fams[0].members:
+                prop = ALWAYS
+            else:
+                prop = And((RhoAtMost(0, max(rho(fams[0]), Fraction(1, 2))),))
+            out, trace = shift_ad_extremis(fams, prop)
+            cur = fams
+            for (i, j), ws in trace.steps:
+                assert ws == tuple(weight(f) for f in cur)
+                cur = tuple(shift(f, i, j) for f in cur)
+            assert cur == out
+            assert trace.final_weights == tuple(weight(f) for f in out)
+
+
 class TestShiftedPredicates:
     def test_examples(self):
         assert is_initial(fam(4, 2, (1, 2)))

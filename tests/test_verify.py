@@ -1292,3 +1292,22 @@ class TestSearchRoot:
         assert first.prunes == second.prunes
         assert set(first.prunes) == {"bound", "degree_cap", "nu", "nontrivial", "twin"}
         assert first.to_json_dict()["prunes"] == first.prunes
+
+
+class TestSmallParameterSweeps:
+    """Sweeps at k = 0, and pair sweeps whose spaces hold empty families, find no FAIL."""
+
+    def test_matching_cor_sample_k0(self):
+        rep = run_recipe(recipe_for("MATCHING_COR", {"k": 0}))
+        assert rep["result"]["totals"]["fail"] == 0
+
+    @pytest.mark.parametrize("sid, grid", [
+        ("MATCHING_COR", {"n": 5, "k": 0, "space": "initial"}),
+        ("EQ_2_1", {"n": 4, "k": 0, "space": "initial"}),
+        ("THM_1_10", {"n": 4, "k": 1, "l": 1, "space": "initial-pairs",
+                      "params": {"eps": "1/58"}}),
+        ("THM_1_6", {"n": 4, "k": 0, "l": 0, "space": "dual-pairs"}),
+        ("PROP_3_4", {"n": 5, "k": 1, "l": 1, "space": "initial-pairs"}),
+    ])
+    def test_exhaustive(self, sid, grid):
+        assert exhaustive_sweep(sid, grid)["result"]["totals"]["fail"] == 0
