@@ -21,6 +21,11 @@ element: the bit set of the positions whose member holds it
 `cols[j] & ~cols[i]`, one AND, and deg(i) is a popcount.  A candidate stays
 put only when its image, which holds i and not j, is a member already, so
 the member set is consulted only when some member holds i without j.
+
+The pair rows (`_pairs`) are built once per `upto` and shared.  Sizes never
+change and no degree exceeds |F|, so only the slots whose cap is below |F|
+are rechecked: `ALWAYS`, the shift-kept atoms and rho <= c with c >= 1
+never bind.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .core import SetFamily, columns, is_closed
@@ -65,10 +71,17 @@ def weight(fam: SetFamily) -> int:
     return sum(e * d for e, d in enumerate(degree_vector(fam), 1))
 
 
-def _pairs(n: int):
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            yield i, j
+@cache
+def _pairs(n: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """Per pair i < j <= n, in lexicographic order: (i, j, i-1, j-1, mask of {i, j}, j-i).
+
+    Built once per n and shared, so read-only.
+    """
+    return tuple(
+        (i, j, i - 1, j - 1, 1 << (i - 1) | 1 << (j - 1), j - i)
+        for i in range(1, n)
+        for j in range(i + 1, n + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +189,7 @@ def shift_resistant_pairs(families: Sequence[SetFamily], prop) -> list[tuple[int
     fams = tuple(families)
     n = fams[0].n
     out = []
-    for i, j in _pairs(n):
+    for i, j, *_ in _pairs(n):
         shifted = tuple(shift(f, i, j) for f in fams)
         if any(s != f for s, f in zip(shifted, fams)) and not prop.holds(shifted):
             out.append((i, j))
@@ -233,8 +246,9 @@ def shift_ad_extremis(
     column bit sets over the positions and a running weight, sum e*deg(e)
     read off the columns; a step moves only the members that have j, lack i
     and whose image is absent, rewriting them in place, and the property is
-    rechecked on deg(i) of the moved slots (see the module docstring).  An atom other than the five
-    defined here raises `TypeError`.
+    rechecked on deg(i) of the slots whose cap can bind (see the module
+    docstring).  An atom other than the five defined here raises `TypeError`,
+    and an `upto` that is not an int in [0, n] raises `ValueError`.
     """
     fams = tuple(families)
     if not fams:
@@ -244,8 +258,8 @@ def shift_ad_extremis(
         raise ValueError("all slots must share the ground set")
     if upto is None:
         upto = n
-    elif upto > n:
-        raise ValueError(f"upto={upto} exceeds n={n}")
+    elif type(upto) is not int or not 0 <= upto <= n:
+        raise ValueError(f"upto must be an int in [0, n={n}], got {upto!r}")
     caps = [degree_cap(prop, slot)(len(f)) for slot, f in enumerate(fams)]
     if not prop.holds(fams):
         raise ValueError("property does not hold on the input tuple")
@@ -256,7 +270,10 @@ def shift_ad_extremis(
     # rewrites the moved positions in place, so positions never move
     slots = [(list(f.members), ms, cs) for f, ms, cs in zip(fams, members, cols)]
     weights = [sum(e * c.bit_count() for e, c in enumerate(cs, 1)) for cs in cols]
+    # sizes never change, and no degree exceeds the size: a cap of |F| or more never binds
+    capped = [(slot, cap) for slot, (f, cap) in enumerate(zip(fams, caps)) if cap < len(f)]
     trace = ShiftTrace()
+    steps = trace.steps
     changed = True
     blocked = {}  # (i,j) -> moved per slot, for the last pass
     while changed:
@@ -265,10 +282,9 @@ def shift_ad_extremis(
             break
         changed = False
         blocked = {}
-        for i, j in _pairs(upto):
-            i1, j1 = i - 1, j - 1
-            both = (1 << i1) | (1 << j1)
+        for i, j, i1, j1, both, gap in _pairs(upto):
             moved = []
+            some = 0
             for vs, ms, cs in slots:
                 ci, cj = cs[i1], cs[j1]
                 mv = cj & ~ci
@@ -281,16 +297,17 @@ def shift_ad_extremis(
                         if vs[p] ^ both in ms:
                             mv ^= 1 << p
                 moved.append(mv)
-            if not any(moved):
+                some |= mv
+            if not some:
                 continue
             # every degree is within its cap already; only deg(i) rises
-            for cs, mv, cap in zip(cols, moved, caps):
-                if (cs[i1] | mv).bit_count() > cap:
+            for slot, cap in capped:
+                if (cols[slot][i1] | moved[slot]).bit_count() > cap:
                     blocked[(i, j)] = tuple(map(bool, moved))
                     break
             else:
-                if len(trace.steps) < STEP_CAP:
-                    trace.steps.append(((i, j), tuple(weights)))
+                if len(steps) < STEP_CAP:
+                    steps.append(((i, j), tuple(weights)))
                 else:
                     trace.steps_truncated += 1
                 for slot, (vs, ms, cs) in enumerate(slots):
@@ -298,7 +315,7 @@ def shift_ad_extremis(
                     if mv:
                         cs[i1] |= mv
                         cs[j1] ^= mv
-                        weights[slot] -= (j - i) * mv.bit_count()
+                        weights[slot] -= gap * mv.bit_count()
                         while mv:
                             p = mv.bit_length() - 1
                             mv ^= 1 << p

@@ -152,6 +152,16 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
     return _grow_shuffled(seed_fam, addable_r_wise(r), rng)
 
 
+def _pair_t(spec: dict) -> int:
+    """The t for which every pair `gen_pair` draws from `spec` is cross t-intersecting.
+
+    `star-pair`: both families lie in the t-star.  `cross-dual` and `lem37`
+    (t = 1): B is drawn from A's t-dual.  `cross-shifted`: the simultaneous
+    shifts keep cross t-intersection.
+    """
+    return 1 if spec["mode"] == "lem37" else spec.get("t", 1)
+
+
 def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
     _need(spec, "pair", "mode")
     mode = spec["mode"]
@@ -159,15 +169,15 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         _need(spec, "pair", "n", "k")
     elif mode in ("cross-dual", "cross-shifted"):
         _need(spec, "pair", "base")
+    t = _pair_t(spec)
     if mode == "star-pair":
-        n, k, t = spec["n"], spec["k"], spec.get("t", 1)
+        n, k = spec["n"], spec["k"]
         star = full_star(n, k, t).members
         a = SetFamily(n, k, _keep(rng, star, spec.get("keep_a", 0.8)), _trusted=True)
         b = SetFamily(n, k, _keep(rng, star, spec.get("keep_b", 0.8)), _trusted=True)
         return a, b
     if mode in ("cross-dual", "cross-shifted"):
         a_fam = gen_family(rng, spec["base"])
-        t = spec.get("t", 1)
         l = spec.get("l", a_fam.k)
         density_b, upto = spec.get("density_b", 0.5), None
     elif mode == "lem37":
@@ -183,14 +193,15 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         members = set(_keep(rng, anchored, spec.get("keep_anchor", 0.8)))
         members |= set(_keep(rng, star, spec.get("keep_star", 0.3)))
         a_fam = SetFamily(n, k, sorted(members), _trusted=True)
-        l, t, density_b, upto = k, 1, spec.get("density_b", 0.6), low
+        l, density_b, upto = k, spec.get("density_b", 0.6), low
     else:
         raise ValueError(f"unknown pair mode {mode!r}")
     # B is drawn from the l-sets that meet every member of A in at least t points
-    index, compat = _cross_rows(a_fam.n, a_fam.k, l, t)
+    n, k = a_fam.n, a_fam.k
+    index = _cross_rows(n, k, l, t)[0]
     abits = sum(1 << index[m] for m in a_fam.members)
-    dual = _decode(_dual(abits, compat), enumerate_ksubsets(a_fam.n, l))
-    b_fam = SetFamily(a_fam.n, l, _keep(rng, dual, density_b), _trusted=True)
+    dual = _decode(_dual(abits, _cross_rows(n, l, k, t)), enumerate_ksubsets(n, l))
+    b_fam = SetFamily(n, l, _keep(rng, dual, density_b), _trusted=True)
     if mode == "cross-dual":
         return a_fam, b_fam
     return shift_ad_extremis((a_fam, b_fam), ALWAYS, upto=upto)[0]
@@ -263,7 +274,8 @@ def make_instance(rng: random.Random, sid: str, inst_spec: dict) -> Instance:
     fams = generate(rng, inst_spec[stmt.kind]) if generate else ()
     n = fams[0].n if fams else inst_spec.get("n", 8)
     params.update(_draw_params(rng, inst_spec.get("draw", {}), n))
-    return Instance(fams, params)
+    cross_t = _pair_t(inst_spec["pair"]) if stmt.kind == "pair" else 0
+    return Instance(fams, params, cross_t=cross_t)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +388,20 @@ def _cross_rows(n: int, k: int, l: int, t: int) -> tuple[dict, tuple[int, ...]]:
     return {m: i for i, m in enumerate(a_masks)}, tuple(rows)
 
 
-def _dual(abits: int, compat: tuple[int, ...]) -> int:
-    """The B-members t-compatible with every A-member in `abits`, as a bit set over rows."""
-    return sum(1 << j for j, row in enumerate(compat) if not abits & ~row)
+def _dual(abits: int, swapped: tuple[dict, tuple[int, ...]]) -> int:
+    """The l-sets t-compatible with every k-set in `abits`, as a bit set over l-sets.
+
+    `swapped` is `_cross_rows(n, l, k, t)`, whose row i holds the l-sets that
+    k-set i meets in at least t points; the answer is the AND of A's rows,
+    which stops early once it is empty.
+    """
+    index, rows = swapped
+    out = (1 << len(index)) - 1
+    while abits and out:
+        low = abits & -abits
+        out &= rows[low.bit_length() - 1]
+        abits ^= low
+    return out
 
 
 def _refuse_unwalkable(n: int, uniformities: tuple[int, ...], budget: int) -> None:
@@ -482,10 +505,10 @@ def _space(space: str, grid: dict, params: dict, budget: int):
         # B ranges over the initial l-families inside A's t-dual, itself initial when A is
         _refuse_unwalkable(n, (k, l), budget)
         t = params.get("t", 1)
-        compat = _cross_rows(n, k, l, t)[1]
+        swapped = _cross_rows(n, l, k, t)
         count = _count_within(
             (pair for _, abits in _downsets(n, k)
-             for pair in _downsets(n, l, _dual(abits, compat))),
+             for pair in _downsets(n, l, _dual(abits, swapped))),
             budget,
         )
 
@@ -494,7 +517,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
             once = cache(initial)
             for a, abits in _downsets(n, k):
                 fa = once(k, a)
-                for b, _ in _downsets(n, l, _dual(abits, compat)):
+                for b, _ in _downsets(n, l, _dual(abits, swapped)):
                     yield Instance((fa, once(l, b)), dict(params), cross_t=t)
 
         return count, True, stream()
@@ -503,11 +526,11 @@ def _space(space: str, grid: dict, params: dict, budget: int):
 
         def stream():
             a_masks, b_masks = enumerate_ksubsets(n, k), enumerate_ksubsets(n, l)
-            compat = _cross_rows(n, k, l, t)[1]
+            swapped = _cross_rows(n, l, k, t)
             for abits in range(1 << m):
                 fa = fam(k, _decode(abits, a_masks))
                 # B may contain exactly the sets t-compatible with every chosen A-member
-                dual = _dual(abits, compat)
+                dual = _dual(abits, swapped)
                 sub = dual
                 while True:
                     fb = fam(l, _decode(sub, b_masks))
@@ -518,8 +541,8 @@ def _space(space: str, grid: dict, params: dict, budget: int):
 
         if m > 22:
             return _power_of_two(2 * m, False, budget), False, stream()
-        compat = _cross_rows(n, k, l, t)[1]
-        return sum(1 << _dual(abits, compat).bit_count() for abits in range(1 << m)), True, stream()
+        swapped = _cross_rows(n, l, k, t)
+        return sum(1 << _dual(abits, swapped).bit_count() for abits in range(1 << m)), True, stream()
     raise ValueError(f"unknown space {space!r}")
 
 

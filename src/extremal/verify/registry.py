@@ -98,8 +98,9 @@ class Instance:
 
     families: tuple[SetFamily, ...] = ()
     params: dict = field(default_factory=dict)
-    # Set by the pair spaces, which list only pairs that are cross t-intersecting for
-    # t up to this; 0 means unknown.  It takes no part in equality or witnesses.
+    # Set by the pair spaces and the pair samplers (`make_instance`), whose pairs are
+    # all cross t-intersecting for t up to this; 0 means unknown.  It takes no part
+    # in equality or witnesses.
     cross_t: int = field(default=0, compare=False)
 
     # kept while bench/tracing.py traces it by name

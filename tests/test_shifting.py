@@ -479,7 +479,7 @@ class TestSingleLoopOracle:
         for _ in range(40):
             a = SetFamily(8, 3, [m for m in masks if rng.random() < 0.3])
             b = SetFamily(8, 3, [m for m in masks if rng.random() < 0.3])
-            for upto in (-1, 0, 1, 2, 5, 8):
+            for upto in (0, 1, 2, 5, 8):
                 out, trace = shift_ad_extremis((a, b), ALWAYS, upto=upto)
                 assert out == unguarded_prefix_shift((a, b), upto)
                 assert all(j <= upto for (_, j), _ in trace.steps)
@@ -500,9 +500,11 @@ class TestSingleLoopOracle:
             want = [(i, j) for i, j in shift_resistant_pairs(out, prop) if j <= 5]
             assert trace.resistant_pairs == want
 
-    def test_upto_above_n_raises(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            shift_ad_extremis((fam(4, 2, (2, 3)),), ALWAYS, upto=5)
+    @pytest.mark.parametrize("upto", [-1, 3.0, 5])
+    def test_upto_above_n_raises(self, upto):
+        # n = 4: below 0, not an int, above n
+        with pytest.raises(ValueError, match=r"upto must be an int in \[0, n=4\]"):
+            shift_ad_extremis((fam(4, 2, (2, 3)),), ALWAYS, upto=upto)
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +594,25 @@ class TestIncrementalEngine:
         rng = random.Random(seed)
         masks = enumerate_ksubsets(n, k)
         prop = parse_property_spec("cross(0,1)&rho<=2/3", slots=2)
-        ran = blocked = 0
+        # the engine rechecks only the slots whose cap is below |F|: here slot 1
+        # alone, and no slot under rho <= 1, a cap that never binds
+        slot_1_only = And((CrossTIntersecting(0, 1, 1), RhoAtMost(1, Fraction(2, 3))))
+        never_binds = parse_property_spec("rho<=1", slots=2)
+        guards = (prop, slot_1_only, never_binds)
+        ran = 0
+        blocked = dict.fromkeys(guards, 0)
         while ran < 40:
             a = SetFamily(n, k, [m for m in masks if rng.random() < 0.25])
             dual = [c for c in masks if all(c & m for m in a.members)]
             b = SetFamily(n, k, [c for c in dual if rng.random() < 0.5])
             if not (a.members and b.members and prop.holds((a, b))):
                 continue
-            for upto in (None, 3, n - 1):
-                trace = assert_same_as_reference((a, b), prop, upto)
-            blocked += bool(trace.resistant_pairs)
+            for guard in guards:
+                for upto in (None, 3, n - 1):
+                    trace = assert_same_as_reference((a, b), guard, upto)
+                blocked[guard] += bool(trace.resistant_pairs)
             ran += 1
-        assert blocked > 5
+        assert blocked[prop] > 5 and blocked[slot_1_only] > 0 and blocked[never_binds] == 0
 
     def test_atom_without_shift_rule_raises(self):
         class Anything(PropertyAtom):

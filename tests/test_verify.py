@@ -995,6 +995,22 @@ class TestInitialPairSpace:
                 assert inst.cross_t == t
                 assert is_cross_t_intersecting(*inst.families, t)
 
+    def test_sampled_pairs_record_their_t(self):
+        from extremal.verify.harness import _rng_for
+
+        entries = [e for e in suite_config()["entries"] if "pair" in e.get("instance", {})]
+        modes = {e["instance"]["pair"]["mode"] for e in entries}
+        assert modes == {"star-pair", "cross-dual", "cross-shifted", "lem37"}
+        for entry in entries:
+            for idx in range(5):
+                inst = make_instance(_rng_for(entry["seed"], idx), entry["id"], entry["instance"])
+                fa, fb = inst.families
+                assert inst.cross_t >= 1, entry["id"]
+                # the definition: every member of A meets every member of B in cross_t points
+                assert all(
+                    (a & b).bit_count() >= inst.cross_t for a in fa.members for b in fb.members
+                ), entry["id"]
+
     def test_cross_record_outside_equality_and_witnesses(self):
         from extremal.verify.registry import _cross
 
