@@ -152,37 +152,37 @@ def gen_family(rng: random.Random, spec: dict) -> SetFamily:
     return _grow_shuffled(seed_fam, addable_r_wise(r), rng)
 
 
-def _pair_t(spec: dict) -> int:
-    """The t for which every pair `gen_pair` draws from `spec` is cross t-intersecting.
+def gen_pair(rng: random.Random, spec: dict) -> tuple[tuple[SetFamily, SetFamily], int]:
+    """A pair of families, and the t for which each pair drawn from `spec` is cross t-intersecting.
 
     `star-pair`: both families lie in the t-star.  `cross-dual` and `lem37`
     (t = 1): B is drawn from A's t-dual.  `cross-shifted`: the simultaneous
     shifts keep cross t-intersection.
     """
-    return 1 if spec["mode"] == "lem37" else spec.get("t", 1)
-
-
-def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
     _need(spec, "pair", "mode")
     mode = spec["mode"]
     if mode in ("star-pair", "lem37"):
         _need(spec, "pair", "n", "k")
     elif mode in ("cross-dual", "cross-shifted"):
         _need(spec, "pair", "base")
-    t = _pair_t(spec)
+    t = 1 if mode == "lem37" else spec.get("t", 1)
     if mode == "star-pair":
         n, k = spec["n"], spec["k"]
         star = full_star(n, k, t).members
         a = SetFamily(n, k, _keep(rng, star, spec.get("keep_a", 0.8)), _trusted=True)
         b = SetFamily(n, k, _keep(rng, star, spec.get("keep_b", 0.8)), _trusted=True)
-        return a, b
+        return (a, b), t
     if mode in ("cross-dual", "cross-shifted"):
         a_fam = gen_family(rng, spec["base"])
         l = spec.get("l", a_fam.k)
+        if not 0 <= l <= a_fam.n:
+            raise ValueError(f"{mode} pair spec field 'l' must lie in [0, n={a_fam.n}], got {l}")
         density_b, upto = spec.get("density_b", 0.5), None
     elif mode == "lem37":
         # cross pair with members anchored at the two top elements, initial on [n-8]
         n, k = spec["n"], spec["k"]
+        if not 1 <= k <= n - 7:
+            raise ValueError(f"lem37 pair spec fields need 1 <= k <= n - 7, got n={n}, k={k}")
         low = n - 8
         anchored = []
         for top in (n - 1, n):
@@ -198,13 +198,13 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[SetFamily, SetFamily]:
         raise ValueError(f"unknown pair mode {mode!r}")
     # B is drawn from the l-sets that meet every member of A in at least t points
     n, k = a_fam.n, a_fam.k
-    index = _cross_rows(n, k, l, t)[0]
-    abits = sum(1 << index[m] for m in a_fam.members)
-    dual = _decode(_dual(abits, _cross_rows(n, l, k, t)), enumerate_ksubsets(n, l))
+    table = _cross_rows(n, k, l, t)
+    abits = sum(1 << table[0][m] for m in a_fam.members)
+    dual = _decode(_dual(abits, table), enumerate_ksubsets(n, l))
     b_fam = SetFamily(n, l, _keep(rng, dual, density_b), _trusted=True)
     if mode == "cross-dual":
-        return a_fam, b_fam
-    return shift_ad_extremis((a_fam, b_fam), ALWAYS, upto=upto)[0]
+        return (a_fam, b_fam), t
+    return shift_ad_extremis((a_fam, b_fam), ALWAYS, upto=upto)[0], t
 
 
 def gen_slices(rng: random.Random, spec: dict) -> tuple[SetFamily, ...]:
@@ -234,34 +234,36 @@ def _two_names(key: str) -> list[str]:
 def _draw_params(rng: random.Random, draws: dict, n: int) -> dict:
     out = {}
     # in sorted key order, the order reports store, so a re-run draws what the run drew
-    for key, kind in sorted(draws.items()):
-        if kind == "subset":
+    for key, draw in sorted(draws.items()):
+        if draw == "subset":
             out[key] = [e for e in range(1, n + 1) if rng.random() < 0.5]
-        elif kind == "pair":
+        elif draw == "pair":
             a, b = rng.sample(range(1, n + 1), 2)
             low, high = _two_names(key)
             out[low], out[high] = min(a, b), max(a, b)
-        elif kind.startswith("int:"):
-            lo, hi = map(int, kind.split(":", 1)[1].split(","))
+        elif draw.startswith("int:"):
+            lo, hi = map(int, draw.split(":", 1)[1].split(","))
             out[key] = rng.randint(lo, hi)
-        elif kind.startswith("leq-pair:"):
-            lo, hi = map(int, kind.split(":", 1)[1].split(","))
+        elif draw.startswith("leq-pair:"):
+            lo, hi = map(int, draw.split(":", 1)[1].split(","))
             a, b = rng.randint(lo, hi), rng.randint(lo, hi)
             low, high = _two_names(key)
             out[low], out[high] = min(a, b), max(a, b)
         else:
-            raise ValueError(f"unknown draw kind {kind!r}")
+            raise ValueError(f"unknown draw kind {draw!r}")
     return out
 
 
 # per statement kind: the generator of the instance spec's field of that name (numeric: none),
-# the exhaustive spaces the kind may sweep, its default first, and the grid keys those
-# spaces read (l is the partner uniformity of a pair, a parameter for the other kinds)
+# which returns the families and their cross t (0: none), the exhaustive spaces the kind may
+# sweep, its default first, and the grid keys those spaces read (l is the partner uniformity
+# of a pair, a parameter for the other kinds)
 _KINDS = {
-    "family": (lambda rng, spec: (gen_family(rng, spec),), ("families", "initial"), ("n", "k")),
+    "family": (lambda rng, spec: ((gen_family(rng, spec),), 0),
+               ("families", "initial"), ("n", "k")),
     "pair": (gen_pair, ("dual-pairs", "initial-pairs"), ("n", "k", "l")),
     "numeric": (None, ("grid",), ("n", "k")),
-    "slices": (gen_slices, (), ("n", "k")),
+    "slices": (lambda rng, spec: (gen_slices(rng, spec), 0), (), ("n", "k")),
 }
 
 
@@ -271,10 +273,9 @@ def make_instance(rng: random.Random, sid: str, inst_spec: dict) -> Instance:
     _need(inst_spec, f"{sid} instance", *((stmt.kind,) if generate else ()))
     # params first, so that an inexact param is named before a generator reads its namesake
     params = parse_params(inst_spec.get("params", {}))
-    fams = generate(rng, inst_spec[stmt.kind]) if generate else ()
+    fams, cross_t = generate(rng, inst_spec[stmt.kind]) if generate else ((), 0)
     n = fams[0].n if fams else inst_spec.get("n", 8)
     params.update(_draw_params(rng, inst_spec.get("draw", {}), n))
-    cross_t = _pair_t(inst_spec["pair"]) if stmt.kind == "pair" else 0
     return Instance(fams, params, cross_t=cross_t)
 
 
@@ -367,36 +368,36 @@ def _outside_star(n: int, k: int, t: int) -> tuple[int, ...]:
 
 
 @cache
-def _cross_rows(n: int, k: int, l: int, t: int) -> tuple[dict, tuple[int, ...]]:
-    """The k-sets' bit index, and row j: the k-sets that l-set j meets in at least t points.
+def _cross_rows(n: int, k: int, l: int, t: int) -> tuple[dict, tuple[int, ...], int]:
+    """The table of a pair shape: the k-sets' bit index, row i (the l-sets that
+    k-set i meets in at least t points), and the bit set of all l-sets.
 
     In `enumerate_ksubsets` order; built once per (n, k, l, t) and shared, so read-only.
-    Each row is a bit-sliced count over the l-set's columns of k-set indices,
-    saturating at t: `at_least[c]` holds the k-sets met in at least c of the
+    Each row is a bit-sliced count over the k-set's columns of l-set indices,
+    saturating at t: `at_least[c]` holds the l-sets met in at least c of the
     points seen so far.
     """
     a_masks = enumerate_ksubsets(n, k)
-    cols = columns(a_masks, n)
-    everyone = (1 << len(a_masks)) - 1
+    b_masks = enumerate_ksubsets(n, l)
+    cols = columns(b_masks, n)
+    everyone = (1 << len(b_masks)) - 1
     rows = []
-    for bm in enumerate_ksubsets(n, l):
+    for am in a_masks:
         at_least = [everyone] + [0] * t
-        for seen, e in enumerate(elems_of(bm), start=1):
+        for seen, e in enumerate(elems_of(am), start=1):
             for c in range(min(seen, t), 0, -1):
                 at_least[c] |= at_least[c - 1] & cols[e - 1]
         rows.append(at_least[t])
-    return {m: i for i, m in enumerate(a_masks)}, tuple(rows)
+    return {m: i for i, m in enumerate(a_masks)}, tuple(rows), everyone
 
 
-def _dual(abits: int, swapped: tuple[dict, tuple[int, ...]]) -> int:
+def _dual(abits: int, table: tuple[dict, tuple[int, ...], int]) -> int:
     """The l-sets t-compatible with every k-set in `abits`, as a bit set over l-sets.
 
-    `swapped` is `_cross_rows(n, l, k, t)`, whose row i holds the l-sets that
-    k-set i meets in at least t points; the answer is the AND of A's rows,
+    `table` is `_cross_rows(n, k, l, t)`: the answer is the AND of A's rows,
     which stops early once it is empty.
     """
-    index, rows = swapped
-    out = (1 << len(index)) - 1
+    _, rows, out = table
     while abits and out:
         low = abits & -abits
         out &= rows[low.bit_length() - 1]
@@ -442,7 +443,8 @@ def _space(space: str, grid: dict, params: dict, budget: int):
     space is listed whole; `initial-pairs` builds each family once, when first
     met.  They are counted by the same walk, which builds nothing and stops
     once two evaluations per instance pass the budget; past the `dual-pairs`
-    size cap the count is an upper bound.
+    size cap the count is an upper bound.  Both pair spaces read A's t-dual
+    off the one table of their shape, `_cross_rows(n, k, l, t)`.
     """
     if space == "grid":
         # a [lo, hi] list is a dimension swept over lo..hi, any other key a fixed param
@@ -505,10 +507,10 @@ def _space(space: str, grid: dict, params: dict, budget: int):
         # B ranges over the initial l-families inside A's t-dual, itself initial when A is
         _refuse_unwalkable(n, (k, l), budget)
         t = params.get("t", 1)
-        swapped = _cross_rows(n, l, k, t)
+        table = _cross_rows(n, k, l, t)
         count = _count_within(
             (pair for _, abits in _downsets(n, k)
-             for pair in _downsets(n, l, _dual(abits, swapped))),
+             for pair in _downsets(n, l, _dual(abits, table))),
             budget,
         )
 
@@ -517,7 +519,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
             once = cache(initial)
             for a, abits in _downsets(n, k):
                 fa = once(k, a)
-                for b, _ in _downsets(n, l, _dual(abits, swapped)):
+                for b, _ in _downsets(n, l, _dual(abits, table)):
                     yield Instance((fa, once(l, b)), dict(params), cross_t=t)
 
         return count, True, stream()
@@ -526,11 +528,11 @@ def _space(space: str, grid: dict, params: dict, budget: int):
 
         def stream():
             a_masks, b_masks = enumerate_ksubsets(n, k), enumerate_ksubsets(n, l)
-            swapped = _cross_rows(n, l, k, t)
+            table = _cross_rows(n, k, l, t)
             for abits in range(1 << m):
                 fa = fam(k, _decode(abits, a_masks))
                 # B may contain exactly the sets t-compatible with every chosen A-member
-                dual = _dual(abits, swapped)
+                dual = _dual(abits, table)
                 sub = dual
                 while True:
                     fb = fam(l, _decode(sub, b_masks))
@@ -541,8 +543,8 @@ def _space(space: str, grid: dict, params: dict, budget: int):
 
         if m > 22:
             return _power_of_two(2 * m, False, budget), False, stream()
-        swapped = _cross_rows(n, l, k, t)
-        return sum(1 << _dual(abits, swapped).bit_count() for abits in range(1 << m)), True, stream()
+        table = _cross_rows(n, k, l, t)
+        return sum(1 << _dual(abits, table).bit_count() for abits in range(1 << m)), True, stream()
     raise ValueError(f"unknown space {space!r}")
 
 

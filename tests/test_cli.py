@@ -439,6 +439,15 @@ class TestVerifyCommand:
         else:
             assert err == []
 
+    @pytest.mark.parametrize("sid, sample, named", [
+        ("LEM_3_7", "n=9,count=3", ("lem37", "1 <= k <= n - 7", "n=9")),
+        ("COR_1_6_1_7", "l=12,count=3", ("cross-dual", "field 'l'", "[0, n=9]")),
+    ])
+    def test_undrawable_pair_spec_names_mode_and_field(self, capsys, sid, sample, named):
+        assert main(["verify", "--id", sid, "--sample", sample]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and all(part in err[0] for part in named), err
+
     def test_sample_reproduces_suite_entry(self, tmp_path):
         sample, suite = tmp_path / "sample.json", tmp_path / "suite.json"
         assert main(["verify", "--id", "KATONA", "--sample", "--out", str(sample)]) == 0

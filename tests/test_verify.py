@@ -1076,7 +1076,9 @@ class TestCrossRows:
                             base = {"mode": "uniform", "n": n, "k": k, "density": density}
                             spec = {"mode": "cross-dual", "base": base, "l": l, "t": t,
                                     "density_b": 1.0}
-                            a_fam, b_fam = gen_pair(random.Random(n * 1000 + k * 100 + l), spec)
+                            (a_fam, b_fam), t_drawn = gen_pair(
+                                random.Random(n * 1000 + k * 100 + l), spec)
+                            assert t_drawn == t
                             if density != 0.5:
                                 assert len(a_fam) == density * comb(n, k)
                             assert list(b_fam.members) == reference_dual_members(a_fam, l, t)
@@ -1087,13 +1089,22 @@ class TestCrossRows:
     def test_table_matches_popcount_table(self, n, k, l, t):
         from extremal.verify.harness import _cross_rows
 
-        a_masks = enumerate_ksubsets(n, k)
-        index, rows = _cross_rows(n, k, l, t)
+        a_masks, b_masks = enumerate_ksubsets(n, k), enumerate_ksubsets(n, l)
+        index, rows, everyone = _cross_rows(n, k, l, t)
         assert index == {m: i for i, m in enumerate(a_masks)}
         assert rows == tuple(
-            sum(1 << i for i, am in enumerate(a_masks) if (am & bm).bit_count() >= t)
-            for bm in enumerate_ksubsets(n, l)
+            sum(1 << j for j, bm in enumerate(b_masks) if (am & bm).bit_count() >= t)
+            for am in a_masks
         )
+        assert everyone == (1 << len(b_masks)) - 1
+
+    def test_a_draw_builds_one_table(self):
+        from extremal.verify.harness import _cross_rows, gen_pair
+
+        _cross_rows.cache_clear()
+        spec = {"mode": "cross-dual", "base": {"mode": "uniform", "n": 7, "k": 3}, "l": 2}
+        gen_pair(random.Random(1), spec)
+        assert _cross_rows.cache_info().currsize == 1
 
 
 def reference_kk_sweep(n, k, l):
