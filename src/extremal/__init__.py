@@ -6,7 +6,6 @@ statement-verification harness with exhaustive and seeded-sampling sweeps.
 """
 
 from .core import (
-    CapacityError,
     SetFamily,
     avoid,
     comb0,
@@ -35,7 +34,6 @@ from .measures import (
     matching_number,
     measure_profile,
     rho,
-    saturate,
     t_level,
     transversal_number,
 )

@@ -10,7 +10,6 @@ from itertools import product
 from math import comb
 
 from .core import (
-    CapacityError,
     SetFamily,
     comb0,
     enumerate_ksubsets,
@@ -204,8 +203,6 @@ def projective_plane(q: int) -> SetFamily:
     then (0,0,1), numbered from 1.  The axioms (line sizes, pairwise unique
     meeting point, regularity) are re-verified at construction time.
     """
-    if q == 8:
-        raise CapacityError("order 8 needs 73 points, beyond the 63-element ground set")
     if q not in (2, 3, 4, 5, 7):
         raise ValueError(f"supported orders are 2,3,4,5,7, got {q}")
     add, mul = _gf_ops(q)

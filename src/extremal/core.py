@@ -1,12 +1,13 @@
-"""Bitmask k-sets and uniform set families on a ground set [n], n <= 63.
+"""Bitmask k-sets and uniform set families on a ground set [n].
 
 A k-set is a plain int whose bit i-1 encodes element i (elements are 1-based
-externally, bit positions 0-based internally).  A SetFamily is an immutable,
-canonically sorted collection of such masks with a declared ground-set size n
-and uniformity k.  All operations are pure functions.  The three cached
-fields, a family's answer to `is_initial` on all of [n], its `measures.rho`
-and its hash, are derived from its members and idempotent, so caching them
-cannot change any result.
+externally, bit positions 0-based internally).  Python ints have no word
+size, so n is not capped.  A SetFamily is an immutable, canonically sorted
+collection of such masks with a declared ground-set size n and uniformity k.
+All operations are pure functions.  The three cached fields, a family's
+answer to `is_initial` on all of [n], its `measures.rho` and its hash, are
+derived from its members and idempotent, so caching them cannot change any
+result.
 """
 
 from __future__ import annotations
@@ -16,20 +17,13 @@ from functools import cache
 from math import comb
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-MAX_GROUND = 63
-
-
-class CapacityError(ValueError):
-    """Raised when a ground set would not fit in one 63-bit machine word."""
-
-
 def mask_of(elements: Iterable[int]) -> int:
-    """Pack 1-based elements into a bitmask. Rejects duplicates and out-of-range."""
+    """Pack 1-based elements into a bitmask. Rejects duplicates and elements below 1."""
     m = 0
     for e in elements:
         e = int(e)
-        if not 1 <= e <= MAX_GROUND:
-            raise CapacityError(f"element {e} outside [1, {MAX_GROUND}]")
+        if e < 1:
+            raise ValueError(f"element {e} is below 1")
         b = 1 << (e - 1)
         if m & b:
             raise ValueError(f"duplicate element {e}")
@@ -60,8 +54,6 @@ def prefix_mask(m: int) -> int:
     """Mask of the initial segment [m] = {1, ..., m} (m <= 0 gives the empty set)."""
     if m <= 0:
         return 0
-    if m > MAX_GROUND:
-        raise CapacityError(f"prefix [{m}] exceeds {MAX_GROUND} elements")
     return (1 << m) - 1
 
 
@@ -81,8 +73,6 @@ class SetFamily:
     def __init__(self, n: int, k: int, members: Iterable[int] = (), *, _trusted: bool = False):
         n = int(n)
         k = int(k)
-        if n > MAX_GROUND:
-            raise CapacityError(f"ground set size {n} exceeds {MAX_GROUND}")
         if n < 2:
             raise ValueError(f"ground set size must be at least 2, got {n}")
         if not 0 <= k <= n:
@@ -106,7 +96,14 @@ class SetFamily:
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
-        return cls(n, k, (mask_of(s) for s in sets))
+        """The family of the given element sets; an element above n is refused before packing."""
+        masks = []
+        for elems in sets:
+            elems = [int(e) for e in elems]
+            if elems and max(elems) > int(n):
+                raise ValueError(f"set {tuple(elems)} has an element above n={n}")
+            masks.append(mask_of(elems))
+        return cls(n, k, masks)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -153,8 +150,6 @@ def enumerate_ksubsets(n: int, k: int) -> tuple[int, ...]:
 
     Built once per (n, k) on first use and shared afterwards, hence a tuple.
     """
-    if n > MAX_GROUND:
-        raise CapacityError(f"ground set size {n} exceeds {MAX_GROUND}")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, n={n}]")
     if k == 0:
@@ -283,7 +278,7 @@ def dumps_family(fam: SetFamily) -> str:
 
 def loads_family(text: str) -> SetFamily:
     header = None
-    members = []
+    sets = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -294,11 +289,10 @@ def loads_family(text: str) -> SetFamily:
                 raise ValueError(f"bad header line {raw!r}, expected 'n k'")
             header = (int(parts[0]), int(parts[1]))
             continue
-        elems = [int(tok) for tok in line.split(",") if tok.strip()]
-        members.append(mask_of(elems))
+        sets.append([int(tok) for tok in line.split(",") if tok.strip()])
     if header is None:
         raise ValueError("missing 'n k' header line")
-    return SetFamily(header[0], header[1], members)
+    return SetFamily.from_sets(header[0], header[1], sets)
 
 
 def write_family(fam: SetFamily, path) -> None:

@@ -364,53 +364,24 @@ def is_saturated(fam: SetFamily, addable) -> bool:
 
 
 def grow(fam: SetFamily, addable, candidates: Sequence[int]) -> SetFamily:
-    """Add candidates, in the given order, that pass the addability test, until none does.
+    """Add, in the given order, each candidate that passes the addability test.
 
     Starts one tester for the family (`addable(members)`), asks it
     `admits(c)` for each candidate outside the family, and tells it `add(c)`
     for each one that joins, so the tester keeps its state across the whole
     growth.  The r-wise rules keep the levels I_1 ⊆ ... ⊆ I_{r-1}; `add(c)`
     updates them from the top level down, level i gaining c and c ∩ S for
-    each S in the old level i-1.  Repeated passes handle non-hereditary
-    tests; the result is maximal.
+    each S in the old level i-1.  Both shipped rules are hereditary: a k-set
+    refused once stays refused as the family grows, so one pass over the
+    candidates leaves a maximal family.
     """
     tester = addable(fam.members)
     members = set(fam.members)
-    changed = True
-    while changed:
-        changed = False
-        for cand in candidates:
-            if cand not in members and tester.admits(cand):
-                tester.add(cand)
-                members.add(cand)
-                changed = True
+    for cand in candidates:
+        if cand not in members and tester.admits(cand):
+            tester.add(cand)
+            members.add(cand)
     return SetFamily(fam.n, fam.k, sorted(members), _trusted=True)
-
-
-class _PropertyTester:
-    """Addability by checking a property on the family with the candidate added."""
-
-    def __init__(self, n: int, k: int, prop, members: Sequence[int]):
-        self.n, self.k, self.prop = n, k, prop
-        self.members = set(members)
-
-    def admits(self, cand: int) -> bool:
-        trial = SetFamily(self.n, self.k, sorted(self.members | {cand}), _trusted=True)
-        return self.prop.holds((trial,))
-
-    def add(self, cand: int) -> None:
-        self.members.add(cand)
-
-
-def saturate(fam: SetFamily, prop) -> SetFamily:
-    """Grow the family in canonical order until no further k-set keeps `prop`.
-
-    `prop` is a single-slot PropertySpec (or any object with holds(tuple)).
-    """
-    if not prop.holds((fam,)):
-        raise ValueError("property does not hold on the input family")
-    addable = partial(_PropertyTester, fam.n, fam.k, prop)
-    return grow(fam, addable, enumerate_ksubsets(fam.n, fam.k))
 
 
 @dataclass(frozen=True)

@@ -503,6 +503,8 @@ def _space(space: str, grid: dict, params: dict, budget: int):
                 yield Instance((initial(k, members),), dict(params))
 
         return count, True, stream()
+    if space in ("initial-pairs", "dual-pairs") and not 0 <= l <= n:
+        raise ValueError(f"{space} grid dimension 'l' must lie in [0, n={n}], got {l}")
     if space == "initial-pairs":
         # B ranges over the initial l-families inside A's t-dual, itself initial when A is
         _refuse_unwalkable(n, (k, l), budget)

@@ -1,10 +1,11 @@
 """Default desk-scale sweep recipes for every registry statement.
 
 `suite_config()` builds the shipped suite from this table, and `verify
---suite` with no path runs it.  Statements whose hypotheses are unreachable
-on a 63-element ground set (the 39k-range cross theorems and the deep
-t-intersecting corollary) are swept anyway and documented as vacuous-only:
-their acceptance is property-based (no FAIL ever).
+--suite` with no path runs it.  Statements whose hypotheses the samplers
+cannot reach (the 39k-range cross theorems, whose cross samplers' pool table
+grows as C(n,k)·C(n,l) bits, and the deep t-intersecting corollary) are
+swept anyway and documented as vacuous-only: their acceptance is
+property-based (no FAIL ever).
 """
 
 from __future__ import annotations
@@ -548,19 +549,23 @@ def suite_config() -> dict:
 
 
 def _override(node, overrides: dict) -> None:
-    """Replace scalar fields named in `overrides`; the generators and params check their types."""
+    """Replace the fields named in `overrides`; the generators and params check their types."""
     if isinstance(node, dict):
-        for key in list(node):
-            if key in overrides and not isinstance(node[key], (dict, list)):
+        for key in node:
+            if key in overrides:
                 node[key] = overrides[key]
             else:
                 _override(node[key], overrides)
 
 
-def _has_key(node, key: str) -> bool:
-    if isinstance(node, dict):
-        return key in node or any(_has_key(v, key) for v in node.values())
-    return False
+def _values(node, key: str) -> list:
+    """Every value of the field `key` anywhere in `node`."""
+    if not isinstance(node, dict):
+        return []
+    found = [node[key]] if key in node else []
+    for value in node.values():
+        found.extend(_values(value, key))
+    return found
 
 
 def recipe_for(sid: str, overrides: dict | None = None) -> dict:
@@ -568,7 +573,8 @@ def recipe_for(sid: str, overrides: dict | None = None) -> dict:
 
     `count` and `seed` set the recipe's own keys.  Other override keys replace
     every generator field or statement param of that name; keys that match
-    none become statement params.
+    none become statement params.  A drawn name (one named in a `draw` key)
+    or a field holding a list or a dict cannot be overridden, and is refused.
     """
     if sid not in RECIPES:
         raise ValueError(f"no default recipe for {sid!r}")
@@ -579,7 +585,15 @@ def recipe_for(sid: str, overrides: dict | None = None) -> dict:
         for key in ("count", "seed"):
             if key in overrides:
                 recipe[key] = overrides.pop(key)
-        extras = {k: v for k, v in overrides.items() if not _has_key(recipe["instance"], k)}
+        drawn = {name for key in recipe["instance"].get("draw", {}) for name in key.split(",")}
+        extras = {}
+        for key, val in overrides.items():
+            found = _values(recipe["instance"], key)
+            if key in drawn or any(isinstance(v, (dict, list)) for v in found):
+                why = "the recipe draws it" if key in drawn else "it holds a list or a dict"
+                raise ValueError(f"{sid} cannot override {key!r}: {why}")
+            if not found:
+                extras[key] = val
         _override(recipe["instance"], overrides)
         for key, val in extras.items():
             recipe["instance"].setdefault("params", {})[key] = val

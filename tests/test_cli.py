@@ -361,6 +361,15 @@ class TestVerifyCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {message}"]
 
+    @pytest.mark.parametrize("sid, grid, space, l", [
+        ("HILTON", "n=5,k=2,l=9", "dual-pairs", 9),
+        ("FACT_3_1", "n=5,k=2,l=7,space=initial-pairs", "initial-pairs", 7),
+    ])
+    def test_pair_space_l_outside_0_n_exit_2(self, capsys, sid, grid, space, l):
+        assert main(["verify", "--id", sid, "--exhaustive", grid]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {space} grid dimension 'l' must lie in [0, n=5], got {l}"]
+
     @pytest.mark.parametrize("space", ["", ",space=dual-pairs"])
     def test_pair_statement_defaults_to_dual_pairs(self, capsys, space):
         assert main(["verify", "--id", "LEM_3_7", "--exhaustive", f"n=5,k=2{space}"]) == 0
@@ -447,6 +456,16 @@ class TestVerifyCommand:
         assert main(["verify", "--id", sid, "--sample", sample]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and all(part in err[0] for part in named), err
+
+    @pytest.mark.parametrize("sid, sample, why", [
+        ("BINOM_1_11", "k=4", "'k': the recipe draws it"),
+        ("FACT_3_13", "a=0,count=5", "'a': the recipe draws it"),
+        ("LEM_3_5", "R=1,count=5", "'R': it holds a list or a dict"),
+    ])
+    def test_sample_override_that_cannot_apply_exit_2(self, capsys, sid, sample, why):
+        assert main(["verify", "--id", sid, "--sample", sample]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {sid} cannot override {why}"]
 
     def test_sample_reproduces_suite_entry(self, tmp_path):
         sample, suite = tmp_path / "sample.json", tmp_path / "suite.json"

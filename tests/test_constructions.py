@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from extremal.core import (
-    CapacityError,
     SetFamily,
     comb0,
     enumerate_ksubsets,
@@ -216,7 +215,8 @@ class TestPlanes:
                 assert (a & b).bit_count() == 1
 
     def test_order_eight_rejected(self):
-        with pytest.raises(CapacityError):
+        # _gf_ops has no GF(8); the ground set of 73 points is no limit
+        with pytest.raises(ValueError, match="supported orders are 2,3,4,5,7"):
             projective_plane(8)
 
     def test_unsupported_order(self):
@@ -237,9 +237,10 @@ class TestBlocks:
         assert rho(p) == Fraction(1, 2) and rho(r) == Fraction(1, 3)
         assert is_cross_t_intersecting(p, r, 1)
 
-    def test_ground_beyond_capacity(self):
-        with pytest.raises(CapacityError):
-            disjoint_blocks(32, 2)
+    def test_ground_beyond_63_elements(self):
+        p, r = disjoint_blocks(32, 2)
+        assert p.n == r.n == 64 and len(p) == 2 and len(r) == 1024
+        assert is_cross_t_intersecting(p, r, 1)
 
 
 class TestBuildRegistry:

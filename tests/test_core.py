@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from extremal.core import (
-    CapacityError,
     SetFamily,
     avoid,
     columns,
@@ -79,10 +78,9 @@ class TestEnumerate:
         masks = enumerate_ksubsets(7, 3)
         assert list(masks) == sorted(masks)
 
-    def test_capacity_error(self):
-        for _ in range(2):
-            with pytest.raises(CapacityError):
-                enumerate_ksubsets(64, 2)
+    def test_ground_beyond_63_elements(self):
+        masks = enumerate_ksubsets(64, 2)
+        assert len(masks) == 2016 and masks[-1] == (1 << 63) | (1 << 62)
 
     def test_k_range_error(self):
         for _ in range(2):
@@ -350,8 +348,11 @@ class TestFamilyValidation:
     def test_duplicate_and_range(self):
         with pytest.raises(ValueError):
             mask_of((1, 1))
-        with pytest.raises(CapacityError):
-            mask_of((64,))
+        with pytest.raises(ValueError):
+            mask_of((2, 5, 2))
+        with pytest.raises(ValueError):
+            mask_of((0, 1))
+        assert mask_of((64,)) == 1 << 63
         with pytest.raises(ValueError):
             SetFamily(5, 2, [mask_of((1, 2, 3))])
         with pytest.raises(ValueError):
@@ -403,3 +404,9 @@ class TestTextFormat:
     def test_empty_family_file(self):
         f = loads_family("5 2\n")
         assert len(f) == 0 and f.n == 5 and f.k == 2
+
+    def test_element_above_n_refused_before_packing(self):
+        # packed first, the element 10**8 would cost a 12.5 MB mask; a typo costs no memory
+        with pytest.raises(ValueError, match=r"set \(3, 100000000\) has an element above n=5"):
+            loads_family("5 2\n1,2\n3,100000000\n")
+        assert loads_family("64 1\n64\n").members == (1 << 63,)

@@ -27,11 +27,10 @@ from extremal.measures import (
     max_pair_degree,
     measure_profile,
     rho,
-    saturate,
     t_level,
     transversal_number,
 )
-from extremal.shifting import And, TIntersecting
+from extremal.shifting import And
 from extremal.verify.harness import initial_families
 
 
@@ -347,29 +346,11 @@ class TestPseudo:
 
 
 class TestSaturate:
-    def test_grow_from_single_set(self):
-        f = fam(5, 3, (1, 2, 3))
-        out = saturate(f, And((TIntersecting(0, 1),)))
-        assert set(f.members) <= set(out.members)
-        assert is_t_intersecting(out, 1)
-        # maximality re-verified exhaustively
-        have = set(out.members)
-        for cand in enumerate_ksubsets(5, 3):
-            if cand not in have:
-                trial = SetFamily(5, 3, sorted(have | {cand}))
-                assert not is_t_intersecting(trial, 1)
-
     def test_star_already_maximal(self):
-        star = full_star(8, 3, 2)
-        assert saturate(star, And((TIntersecting(0, 2),))) == star
+        assert is_saturated(full_star(8, 3, 2), addable_t_intersecting(2))
 
     def test_fano_already_maximal(self):
-        f = fano()
-        assert saturate(f, And((TIntersecting(0, 1),))) == f
-
-    def test_requires_property_on_input(self):
-        with pytest.raises(ValueError):
-            saturate(fam(5, 2, (1, 2), (3, 4)), And((TIntersecting(0, 1),)))
+        assert is_saturated(fano(), addable_t_intersecting(1))
 
 
 # Copies of the member-mask and saturation checks that the registry and the

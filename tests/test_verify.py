@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from extremal.core import SetFamily, comb0, enumerate_ksubsets
-from extremal.constructions import fano, full_star
-from extremal.measures import is_cross_t_intersecting, is_t_intersecting
+from extremal.constructions import example_1_7, fano, full_star, triangle_family
+from extremal.measures import is_cross_t_intersecting, is_t_intersecting, rho
 from extremal.order import shadow
 from extremal.shifting import (
     And,
@@ -151,6 +151,22 @@ class TestCheckStatement:
 
         assert verdict(128) == "vacuous"
         assert verdict(129) == "pass"
+
+    def test_39k_cross_theorems_at_117_3(self):
+        # n = 39k is the least ground set the three cross theorems admit at k = 3
+        tri = triangle_family(117, 3)
+        assert len(tri) == 343 and rho(tri) == Fraction(229, 343)
+        for sid in ("THM_1_6", "LEM_3_3", "THM_1_9"):
+            assert check_statement(sid, Instance((tri, tri))).verdict == "pass", sid
+        # Example 1.7 misses THM_1_6 only by its size conjunct, 232 < 2*C(115,1) + 4 = 234,
+        # and breaks the conclusion 117/232 > 1/2 + 1/230: the size bound is sharp within 2
+        left, right = example_1_7(117, 3)
+        assert len(left) == len(right) == 232
+        assert rho(left) == rho(right) == Fraction(117, 232) < Fraction(58, 115)
+        assert is_cross_t_intersecting(left, right, 1)
+        example = Instance((left, right))
+        assert check_statement("THM_1_6", example).verdict == "vacuous"
+        assert not REGISTRY["THM_1_6"].conclusion(example)
 
 
 class TestIntParams:
