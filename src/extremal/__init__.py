@@ -58,7 +58,6 @@ from .shifting import (
     TIntersecting,
     shift,
     shift_ad_extremis,
-    shift_resistant_pairs,
     weight,
 )
 

@@ -180,29 +180,15 @@ class ShiftTrace:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def shift_resistant_pairs(families: Sequence[SetFamily], prop) -> list[tuple[int, int]]:
-    """Pairs whose simultaneous shift moves some slot but breaks the property.
-
-    Meaningful on tuples already shifted ad extremis; callers run
-    shift_ad_extremis first.
-    """
-    fams = tuple(families)
-    n = fams[0].n
-    out = []
-    for i, j, *_ in _pairs(n):
-        shifted = tuple(shift(f, i, j) for f in fams)
-        if any(s != f for s, f in zip(shifted, fams)) and not prop.holds(shifted):
-            out.append((i, j))
-    return out
-
-
 def degree_cap(prop, slot: int) -> Callable[[int], int]:
     """The largest maximum degree a family in `slot` may have and keep `prop`, given |F|.
 
     `RhoAtMost(c)` allows floor(c*|F|); `NonTrivial` allows |F| - 1, as an
     element of degree |F| is a common element (and the empty family, whose
     cap is -1, is trivial).  The shift-kept atoms allow |F|, no limit at all.
-    An atom of any other type raises `TypeError`.
+    Every cap is nondecreasing with cap(s + a) <= cap(s) + a, which
+    `search_max`'s degree rule relies on.  An atom of any other type raises
+    `TypeError`.
     """
     c = None
     drop = 0

@@ -372,6 +372,8 @@ def _cross_rows(n: int, k: int, l: int, t: int) -> tuple[dict, tuple[int, ...], 
     """The table of a pair shape: the k-sets' bit index, row i (the l-sets that
     k-set i meets in at least t points), and the bit set of all l-sets.
 
+    The one definition of "meets in at least t points" for the pair spaces and
+    samplers, and at l = k for `search_max`'s t-intersecting filter.
     In `enumerate_ksubsets` order; built once per (n, k, l, t) and shared, so read-only.
     Each row is a bit-sliced count over the k-set's columns of l-set indices,
     saturating at t: `at_least[c]` holds the l-sets met in at least c of the

@@ -1,13 +1,20 @@
 """Exact maximum-family search under a property, by branch and bound.
 
-Supports conjunctions of the registry atoms on slot 0.  The degree-ratio cap
-and non-triviality come from `shifting.degree_cap`, one cap on the maximum
-degree that grows with |F|: a family is accepted when its maximum degree is
-within the cap at its size, and a branch is pruned when that degree exceeds
-the cap even at size + remaining.  Hereditary atoms (t-intersecting, matching
-cap) prune directly; non-triviality also prunes when even adding every
-remaining candidate keeps a common element.  Every atom is invariant under
-permutations of [n].
+Supports conjunctions of the registry atoms on slot 0; every atom is invariant
+under permutations of [n].  A node holds the chosen sets and `left`, the bit
+set over `enumerate_ksubsets` indices of the later candidates that may join
+them.  Choosing candidate i under t-intersecting ANDs `left` with row i of
+`harness._cross_rows(n, k, k, t)`, the k-sets that meet it in t points or more.
+
+The degree-ratio cap and non-triviality come from `shifting.degree_cap`, one
+nondecreasing cap on the maximum degree with cap(s + a) <= cap(s) + a: a family
+is accepted when its maximum degree is within the cap at its size.  A
+completion that adds a sets through an element x and b of the r_o(x)
+candidates left that avoid x has deg(x) = d_x + a and
+cap(size + a + b) <= cap(size + r_o(x)) + a, so it keeps the cap only if
+d_x <= cap(size + r_o(x)).  A node whose maximum degree is over the cap at its
+size is cut when an element of that degree breaks this.  A common element of
+every completion is the case r_o(x) = 0, over the non-trivial cap size - 1.
 
 Symmetry: each node carries its twin cells, the classes of elements that every
 chosen set holds both or neither of.  They start as [n] and each chosen set
@@ -34,10 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import SetFamily, elems_of, enumerate_ksubsets
+from ..core import SetFamily, columns, elems_of, enumerate_ksubsets
 from ..measures import matching_number
 from ..shifting import MatchingAtMost, NonTrivial, RhoAtMost, TIntersecting, degree_cap
-from .harness import DEFAULT_BUDGET
+from .harness import DEFAULT_BUDGET, _cross_rows
 
 
 @dataclass
@@ -47,7 +54,7 @@ class SearchResult:
     complete: bool
     evaluations: int
     # rule -> how often it cut: a node or the rest of its candidates (bound),
-    # a node (degree_cap, nu, nontrivial) or one candidate (twin)
+    # a node (degree_cap, nu) or one candidate (twin)
     prunes: dict[str, int]
 
     def to_json_dict(self) -> dict:
@@ -77,13 +84,14 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     """Exact max |F| over k-graphs on [n] subject to the property, with witness.
 
     Returns best-found with complete=False if the evaluation budget runs out.
-    Raises ValueError when a complete search accepts no family and the empty
-    family fails the property too, so that no family satisfies it.
+    Raises ValueError for a budget below 1, and when a complete search accepts
+    no family and the empty family fails the property too (no family satisfies it).
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 evaluation, got {budget}")
     t_req = 0
     nu_cap: int | None = None
-    nontrivial = False
     for atom in prop.atoms():
         if not isinstance(atom, (TIntersecting, RhoAtMost, MatchingAtMost, NonTrivial)):
             raise ValueError(f"unsupported search atom {type(atom).__name__}")
@@ -93,33 +101,36 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
             t_req = max(t_req, atom.t)
         elif isinstance(atom, MatchingAtMost):
             nu_cap = atom.s if nu_cap is None else min(nu_cap, atom.s)
-        elif isinstance(atom, NonTrivial):
-            nontrivial = True
     cap = degree_cap(prop, 0)
 
     cands = enumerate_ksubsets(n, k)
-    if t_req > k:
-        cands = []
+    everyone = (1 << len(cands)) - 1
+    rows = _cross_rows(n, k, k, t_req)[1] if 0 < t_req <= k else None
+    # avoiders[b]: the candidates without element b + 1
+    avoiders = [everyone & ~col for col in columns(cands, n)]
 
     best_members: list[int] = []
     best_size = 0
     evals = 0
-    prunes = dict.fromkeys(("bound", "degree_cap", "nu", "nontrivial", "twin"), 0)
+    prunes = dict.fromkeys(("bound", "degree_cap", "nu", "twin"), 0)
 
-    def dfs(chosen: list[int], cands_left: list[int], degs: list[int], maxdeg: int,
-            common: int, cells: list[int]):
+    def dfs(chosen: list[int], left: int, degs: list[int], cells: list[int]):
         nonlocal best_members, best_size, evals
         evals += 1
         if evals > budget:
             raise _BudgetSpent
         size = len(chosen)
-        if size + len(cands_left) <= best_size:
+        maxdeg = max(degs)
+        remaining = left.bit_count()
+        if size + remaining <= best_size:
             prunes["bound"] += 1
             return
-        # the cap grows with |F|, so a degree over it at size + remaining is over it below
-        if maxdeg > cap(size + len(cands_left)):
-            prunes["degree_cap"] += 1
-            return
+        # a completion keeps deg(x) within the cap only if this holds (module docstring)
+        if maxdeg > cap(size):
+            for b, d in enumerate(degs):
+                if d == maxdeg and d > cap(size + (left & avoiders[b]).bit_count()):
+                    prunes["degree_cap"] += 1
+                    return
         if nu_cap is not None and chosen:
             # the parent keeps the cap, so only the newest set can break it (module docstring)
             newest = chosen[-1]
@@ -132,49 +143,33 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
         if size > best_size and maxdeg <= cap(size):
             best_size = size
             best_members = list(chosen)
-        if nontrivial:
-            reach = common
-            for c in cands_left:
-                reach &= c
-                if not reach:
-                    break
-            if reach:
-                prunes["nontrivial"] += 1
-                return
-        for idx, cand in enumerate(cands_left):
-            if size + len(cands_left) - idx <= best_size:
+        rest = left
+        while rest:
+            if size + remaining <= best_size:
                 prunes["bound"] += 1
                 break
+            remaining -= 1
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            cand = cands[i]
             # a twin swap maps such a cand to a smaller k-set (module docstring)
             if _skips_a_twin(cand, cells):
                 prunes["twin"] += 1
                 continue
-            new_cands = (
-                [c for c in cands_left[idx + 1 :] if (c & cand).bit_count() >= t_req]
-                if t_req
-                else cands_left[idx + 1 :]
-            )
             new_degs = list(degs)
-            mm = cand
-            new_max = maxdeg
-            while mm:
-                low = mm & -mm
-                b = low.bit_length() - 1
-                new_degs[b] += 1
-                if new_degs[b] > new_max:
-                    new_max = new_degs[b]
-                mm ^= low
+            for e in elems_of(cand):
+                new_degs[e - 1] += 1
             # a singleton cell never skips a candidate, so it is dropped
             new_cells = [
                 part for cell in cells for part in (cell & cand, cell & ~cand) if part & (part - 1)
             ]
             chosen.append(cand)
-            dfs(chosen, new_cands, new_degs, new_max, common & cand, new_cells)
+            dfs(chosen, rest & rows[i] if rows else rest, new_degs, new_cells)
             chosen.pop()
 
-    full = (1 << n) - 1
     try:
-        dfs([], list(cands), [0] * n, 0, full, [full])
+        dfs([], everyone if t_req <= k else 0, [0] * n, [(1 << n) - 1])
         complete = True
     except _BudgetSpent:
         complete = False

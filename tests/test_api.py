@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Exported although nothing outside the tests calls it, and why.
 ALLOWED_UNUSED = {
-    "shift_resistant_pairs": "the shift engine's test oracle; shift_ad_extremis finds the pairs in place",
     "recheck_witness": "the documented way to re-check a FAIL witness from a report",
 }
 

@@ -605,6 +605,17 @@ class TestSearchCommand:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert not out["complete"] and out["evaluations"] == 51
 
+    # a budget below 1 is refused before the search starts, as `verify` refuses it
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_search_budget_below_one_exit_2(self, capsys, budget):
+        rc = main(["--budget", budget, "search", "--n", "7", "--k", "3",
+                   "--prop", "intersecting&rho<=1/2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "budget" in err[0] and budget in err[0]
+
     @pytest.mark.parametrize("prop", ["rho<=1/0", "intersecting&rho<=x", "cross(0)"])
     def test_malformed_prop_exit_2(self, capsys, prop):
         assert main(["search", "--n", "5", "--k", "2", "--prop", prop]) == 2

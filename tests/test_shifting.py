@@ -28,7 +28,6 @@ from extremal.shifting import (
     degree_cap,
     shift,
     shift_ad_extremis,
-    shift_resistant_pairs,
     weight,
 )
 
@@ -39,6 +38,20 @@ def fam(n, k, *sets):
 
 def rand_family(rng, n, k, density=0.4):
     return SetFamily(n, k, [m for m in enumerate_ksubsets(n, k) if rng.random() < density])
+
+
+def shift_resistant_pairs(families, prop):
+    """Oracle for a fixpoint's resistant pairs: each pair i < j, in lex order, whose
+    simultaneous shift moves some slot but breaks `prop`."""
+    fams = tuple(families)
+    n = fams[0].n
+    out = []
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            shifted = tuple(shift(f, i, j) for f in fams)
+            if shifted != fams and not prop.holds(shifted):
+                out.append((i, j))
+    return out
 
 
 def fixed_by_shifts(f, upto):
