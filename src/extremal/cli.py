@@ -35,7 +35,6 @@ from .shifting import (
 )
 from .verify import (
     REGISTRY,
-    BudgetError,
     load_suite,
     run_recipe,
     run_suite,
@@ -190,11 +189,7 @@ def cmd_measure(args) -> int:
 def cmd_shift(args) -> int:
     fams = tuple(read_family(p) for p in args.infiles)
     prop = parse_property_spec(args.prop, slots=len(fams))
-    try:
-        shifted, trace = shift_ad_extremis(fams, prop)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    shifted, trace = shift_ad_extremis(fams, prop)
     prefix = args.out_prefix or "shifted"
     paths = []
     for idx, fam in enumerate(shifted):
@@ -253,31 +248,27 @@ def cmd_verify(args) -> int:
     budget = args.budget
     only = set(args.id.split(",")) if args.id else None
     originals = []
-    try:
-        if args.rerun:
-            original = json.loads(Path(args.rerun).read_text(encoding="utf-8"))
-            found = original.get("reports", [original]) if isinstance(original, dict) else []
-            if not found or not all(
-                isinstance(rep, dict) and isinstance(rep.get("config"), dict) for rep in found
-            ):
-                raise ValueError(f"{args.rerun} holds neither a report nor a suite bundle")
-            if only:
-                missing = sorted(only - {rep["config"].get("id") for rep in found})
-                if missing:
-                    raise ValueError(f"{args.rerun} has no report for id {', '.join(missing)}")
-                found = [rep for rep in found if rep["config"].get("id") in only]
-            reports = [run_recipe(rep["config"], budget=budget) for rep in found]
-            originals = [rep.get("result") for rep in found]
-        elif args.suite is not None:
-            config = load_suite(args.suite) if args.suite else suite_config()
-            if budget is not None:
-                config["budget"] = budget
-            reports = run_suite(config, only=only)
-        else:
-            reports = [run_recipe(_single_recipe(args), budget=budget)]
-    except (BudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.rerun:
+        original = json.loads(Path(args.rerun).read_text(encoding="utf-8"))
+        found = original.get("reports", [original]) if isinstance(original, dict) else []
+        if not found or not all(
+            isinstance(rep, dict) and isinstance(rep.get("config"), dict) for rep in found
+        ):
+            raise ValueError(f"{args.rerun} holds neither a report nor a suite bundle")
+        if only:
+            missing = sorted(only - {rep["config"].get("id") for rep in found})
+            if missing:
+                raise ValueError(f"{args.rerun} has no report for id {', '.join(missing)}")
+            found = [rep for rep in found if rep["config"].get("id") in only]
+        reports = [run_recipe(rep["config"], budget=budget) for rep in found]
+        originals = [rep.get("result") for rep in found]
+    elif args.suite is not None:
+        config = load_suite(args.suite) if args.suite else suite_config()
+        if budget is not None:
+            config["budget"] = budget
+        reports = run_suite(config, only=only)
+    else:
+        reports = [run_recipe(_single_recipe(args), budget=budget)]
     run_config = {
         "command": "verify",
         "params": {"id": args.id, "exhaustive": args.exhaustive, "sample": args.sample,
@@ -303,12 +294,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        prop = parse_property_spec(args.prop, slots=1)
-        result = search_max(args.n, args.k, prop, budget=args.budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    prop = parse_property_spec(args.prop, slots=1)
+    result = search_max(args.n, args.k, prop, budget=args.budget)
     run_config = {
         "command": "search",
         "params": {"n": args.n, "k": args.k, "prop": args.prop},
@@ -409,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the one error exit: bad input, an exhausted budget (a BudgetError is a ValueError)
+    # or an unreadable file
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

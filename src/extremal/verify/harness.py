@@ -156,8 +156,9 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[tuple[SetFamily, SetFamily
     """A pair of families, and the t for which each pair drawn from `spec` is cross t-intersecting.
 
     `star-pair`: both families lie in the t-star.  `cross-dual` and `lem37`
-    (t = 1): B is drawn from A's t-dual.  `cross-shifted`: the simultaneous
-    shifts keep cross t-intersection.
+    (t = 1): B is drawn from A's t-dual, the AND of the rows of A's members in
+    `_cross_rows(n, l, t)`.  `cross-shifted`: the simultaneous shifts keep
+    cross t-intersection.
     """
     _need(spec, "pair", "mode")
     mode = spec["mode"]
@@ -197,10 +198,8 @@ def gen_pair(rng: random.Random, spec: dict) -> tuple[tuple[SetFamily, SetFamily
     else:
         raise ValueError(f"unknown pair mode {mode!r}")
     # B is drawn from the l-sets that meet every member of A in at least t points
-    n, k = a_fam.n, a_fam.k
-    table = _cross_rows(n, k, l, t)
-    abits = sum(1 << table[0][m] for m in a_fam.members)
-    dual = _decode(_dual(abits, table), enumerate_ksubsets(n, l))
+    n = a_fam.n
+    dual = _decode(_dual(a_fam.members, _cross_rows(n, l, t)), enumerate_ksubsets(n, l))
     b_fam = SetFamily(n, l, _keep(rng, dual, density_b), _trusted=True)
     if mode == "cross-dual":
         return (a_fam, b_fam), t
@@ -312,9 +311,9 @@ def _shift_order(n: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...]
 
 
 def _downsets(n: int, k: int, allowed: int = -1):
-    """The initial families on [n] made of k-sets in `allowed`, as (members, bits).
+    """The initial families on [n] made of k-sets in `allowed`, as member tuples.
 
-    `allowed` and `bits` are bit sets over `enumerate_ksubsets(n, k)` (-1: all).
+    `allowed` is a bit set over `enumerate_ksubsets(n, k)` (-1: all).
     Pre-order: a family, then its extensions by each later allowed k-set whose
     unit predecessors it holds, so each family is met once, in ascending order.
     A node carries those k-sets as a bit set: its parent's, above its own last
@@ -326,7 +325,7 @@ def _downsets(n: int, k: int, allowed: int = -1):
     stack = [((), 0, sum(1 << i for i, bits in enumerate(need) if not bits) & allowed)]
     while stack:
         members, chosen, addable = stack.pop()
-        yield members, chosen
+        yield members
         rest = addable
         while rest:
             i = rest.bit_length() - 1
@@ -342,7 +341,7 @@ def _downsets(n: int, k: int, allowed: int = -1):
 # kept as the tests' lister, and while bench/tracing.py traces it by name
 def initial_families(n: int, k: int):
     """All initial families as ascending member-mask tuples, in ascending order."""
-    return [members for members, _ in _downsets(n, k)]
+    return list(_downsets(n, k))
 
 
 def _count_within(walk, budget: int) -> int:
@@ -367,43 +366,52 @@ def _outside_star(n: int, k: int, t: int) -> tuple[int, ...]:
     return tuple(m for m in enumerate_ksubsets(n, k) if m not in star)
 
 
-@cache
-def _cross_rows(n: int, k: int, l: int, t: int) -> tuple[dict, tuple[int, ...], int]:
-    """The table of a pair shape: the k-sets' bit index, row i (the l-sets that
-    k-set i meets in at least t points), and the bit set of all l-sets.
+class _Rows(dict):
+    """Row m: the l-sets that the set m meets in at least t points, as a bit set
+    over `enumerate_ksubsets(n, l)`; `everyone` holds all l-sets.
 
     The one definition of "meets in at least t points" for the pair spaces and
-    samplers, and at l = k for `search_max`'s t-intersecting filter.
-    In `enumerate_ksubsets` order; built once per (n, k, l, t) and shared, so read-only.
-    Each row is a bit-sliced count over the k-set's columns of l-set indices,
+    samplers, and at l = k for `search_max`'s t-intersecting filter.  Keyed by
+    m's mask, so sets of any size share it; a row is built the first time it is
+    read and kept, so a caller pays for the rows it reads, not for one per
+    C(n, k).  Each row is a bit-sliced count over m's columns of l-set indices,
     saturating at t: `at_least[c]` holds the l-sets met in at least c of the
     points seen so far.
     """
-    a_masks = enumerate_ksubsets(n, k)
-    b_masks = enumerate_ksubsets(n, l)
-    cols = columns(b_masks, n)
-    everyone = (1 << len(b_masks)) - 1
-    rows = []
-    for am in a_masks:
-        at_least = [everyone] + [0] * t
-        for seen, e in enumerate(elems_of(am), start=1):
+
+    def __init__(self, n: int, l: int, t: int):
+        super().__init__()
+        self.cols = columns(enumerate_ksubsets(n, l), n)
+        self.everyone = (1 << comb(n, l)) - 1
+        self.t = t
+
+    def __missing__(self, m: int) -> int:
+        t = self.t
+        at_least = [self.everyone] + [0] * t
+        for seen, e in enumerate(elems_of(m), start=1):
             for c in range(min(seen, t), 0, -1):
-                at_least[c] |= at_least[c - 1] & cols[e - 1]
-        rows.append(at_least[t])
-    return {m: i for i, m in enumerate(a_masks)}, tuple(rows), everyone
+                at_least[c] |= at_least[c - 1] & self.cols[e - 1]
+        self[m] = at_least[t]
+        return at_least[t]
 
 
-def _dual(abits: int, table: tuple[dict, tuple[int, ...], int]) -> int:
-    """The l-sets t-compatible with every k-set in `abits`, as a bit set over l-sets.
+@cache
+def _cross_rows(n: int, l: int, t: int) -> _Rows:
+    """The cross relation of (n, l, t), shared by every caller."""
+    return _Rows(n, l, t)
 
-    `table` is `_cross_rows(n, k, l, t)`: the answer is the AND of A's rows,
-    which stops early once it is empty.
+
+def _dual(members, rows: _Rows) -> int:
+    """The l-sets t-compatible with every set in `members`, as a bit set over l-sets.
+
+    `rows` is `_cross_rows(n, l, t)`: the answer is the AND of the members'
+    rows, which stops once it is empty, so no later member's row is built.
     """
-    _, rows, out = table
-    while abits and out:
-        low = abits & -abits
-        out &= rows[low.bit_length() - 1]
-        abits ^= low
+    out = rows.everyone
+    for m in members:
+        if not out:
+            break
+        out &= rows[m]
     return out
 
 
@@ -446,7 +454,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
     met.  They are counted by the same walk, which builds nothing and stops
     once two evaluations per instance pass the budget; past the `dual-pairs`
     size cap the count is an upper bound.  Both pair spaces read A's t-dual
-    off the one table of their shape, `_cross_rows(n, k, l, t)`.
+    as the AND of the rows of A's members in `_cross_rows(n, l, t)`.
     """
     if space == "grid":
         # a [lo, hi] list is a dimension swept over lo..hi, any other key a fixed param
@@ -501,7 +509,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
         count = _count_within(_downsets(n, k), budget)
 
         def stream():
-            for members, _ in _downsets(n, k):
+            for members in _downsets(n, k):
                 yield Instance((initial(k, members),), dict(params))
 
         return count, True, stream()
@@ -511,19 +519,17 @@ def _space(space: str, grid: dict, params: dict, budget: int):
         # B ranges over the initial l-families inside A's t-dual, itself initial when A is
         _refuse_unwalkable(n, (k, l), budget)
         t = params.get("t", 1)
-        table = _cross_rows(n, k, l, t)
+        rows = _cross_rows(n, l, t)
         count = _count_within(
-            (pair for _, abits in _downsets(n, k)
-             for pair in _downsets(n, l, _dual(abits, table))),
-            budget,
+            (b for a in _downsets(n, k) for b in _downsets(n, l, _dual(a, rows))), budget
         )
 
         def stream():
             # one object per family, so its cached measures serve every pair it is in
             once = cache(initial)
-            for a, abits in _downsets(n, k):
+            for a in _downsets(n, k):
                 fa = once(k, a)
-                for b, _ in _downsets(n, l, _dual(abits, table)):
+                for b in _downsets(n, l, _dual(a, rows)):
                     yield Instance((fa, once(l, b)), dict(params), cross_t=t)
 
         return count, True, stream()
@@ -532,11 +538,11 @@ def _space(space: str, grid: dict, params: dict, budget: int):
 
         def stream():
             a_masks, b_masks = enumerate_ksubsets(n, k), enumerate_ksubsets(n, l)
-            table = _cross_rows(n, k, l, t)
+            rows = _cross_rows(n, l, t)
             for abits in range(1 << m):
                 fa = fam(k, _decode(abits, a_masks))
                 # B may contain exactly the sets t-compatible with every chosen A-member
-                dual = _dual(abits, table)
+                dual = _dual(fa.members, rows)
                 sub = dual
                 while True:
                     fb = fam(l, _decode(sub, b_masks))
@@ -547,8 +553,9 @@ def _space(space: str, grid: dict, params: dict, budget: int):
 
         if m > 22:
             return _power_of_two(2 * m, False, budget), False, stream()
-        table = _cross_rows(n, k, l, t)
-        return sum(1 << _dual(abits, table).bit_count() for abits in range(1 << m)), True, stream()
+        a_masks, rows = enumerate_ksubsets(n, k), _cross_rows(n, l, t)
+        duals = (_dual(_decode(abits, a_masks), rows) for abits in range(1 << m))
+        return sum(1 << dual.bit_count() for dual in duals), True, stream()
     raise ValueError(f"unknown space {space!r}")
 
 

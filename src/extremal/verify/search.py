@@ -3,8 +3,9 @@
 Supports conjunctions of the registry atoms on slot 0; every atom is invariant
 under permutations of [n].  A node holds the chosen sets and `left`, the bit
 set over `enumerate_ksubsets` indices of the later candidates that may join
-them.  Choosing candidate i under t-intersecting ANDs `left` with row i of
-`harness._cross_rows(n, k, k, t)`, the k-sets that meet it in t points or more.
+them.  Choosing a candidate under t-intersecting ANDs `left` with its row in
+`harness._cross_rows(n, k, t)`, the k-sets that meet it in t points or more;
+only the rows of chosen candidates are built.
 
 The degree-ratio cap and non-triviality come from `shifting.degree_cap`, one
 nondecreasing cap on the maximum degree with cap(s + a) <= cap(s) + a: a family
@@ -105,7 +106,7 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
 
     cands = enumerate_ksubsets(n, k)
     everyone = (1 << len(cands)) - 1
-    rows = _cross_rows(n, k, k, t_req)[1] if 0 < t_req <= k else None
+    rows = _cross_rows(n, k, t_req) if 0 < t_req <= k else None
     # avoiders[b]: the candidates without element b + 1
     avoiders = [everyone & ~col for col in columns(cands, n)]
 
@@ -151,8 +152,7 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
             remaining -= 1
             low = rest & -rest
             rest ^= low
-            i = low.bit_length() - 1
-            cand = cands[i]
+            cand = cands[low.bit_length() - 1]
             # a twin swap maps such a cand to a smaller k-set (module docstring)
             if _skips_a_twin(cand, cells):
                 prunes["twin"] += 1
@@ -165,7 +165,8 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
                 part for cell in cells for part in (cell & cand, cell & ~cand) if part & (part - 1)
             ]
             chosen.append(cand)
-            dfs(chosen, rest & rows[i] if rows else rest, new_degs, new_cells)
+            # `is None`: a relation with no row built yet is an empty dict, so falsy
+            dfs(chosen, rest if rows is None else rest & rows[cand], new_degs, new_cells)
             chosen.pop()
 
     try:

@@ -1109,13 +1109,12 @@ class TestCrossRows:
         from extremal.verify.harness import _cross_rows
 
         a_masks, b_masks = enumerate_ksubsets(n, k), enumerate_ksubsets(n, l)
-        index, rows, everyone = _cross_rows(n, k, l, t)
-        assert index == {m: i for i, m in enumerate(a_masks)}
-        assert rows == tuple(
+        rows = _cross_rows(n, l, t)
+        assert [rows[am] for am in a_masks] == [
             sum(1 << j for j, bm in enumerate(b_masks) if (am & bm).bit_count() >= t)
             for am in a_masks
-        )
-        assert everyone == (1 << len(b_masks)) - 1
+        ]
+        assert rows.everyone == (1 << len(b_masks)) - 1
 
     def test_a_draw_builds_one_table(self):
         from extremal.verify.harness import _cross_rows, gen_pair
@@ -1124,6 +1123,36 @@ class TestCrossRows:
         spec = {"mode": "cross-dual", "base": {"mode": "uniform", "n": 7, "k": 3}, "l": 2}
         gen_pair(random.Random(1), spec)
         assert _cross_rows.cache_info().currsize == 1
+
+    def test_a_search_builds_the_rows_it_reads(self):
+        from extremal.verify.harness import _cross_rows
+
+        _cross_rows.cache_clear()
+        res = search_max(26, 4, And((TIntersecting(0, 2),)), budget=10)
+        assert not res.complete
+        assert len(_cross_rows(26, 4, 2)) <= 10
+
+    def test_a_draw_builds_the_rows_of_a_only(self):
+        from extremal.verify.harness import _cross_rows, gen_pair
+
+        _cross_rows.cache_clear()
+        base = {"mode": "star-perturbation", "n": 40, "k": 3, "keep": 0.1}
+        spec = {"mode": "cross-dual", "base": base, "density_b": 1.0}
+        (a_fam, b_fam), _ = gen_pair(random.Random(3), spec)
+        # every member holds 1, so the pool never empties and each member's row is read
+        assert set(_cross_rows(40, 3, 1)) == set(a_fam.members)
+        assert list(b_fam.members) == reference_dual_members(a_fam, 3, 1)
+
+    def test_triangle_pool_at_n_117(self):
+        from extremal.verify.harness import _cross_rows, _decode, _dual
+
+        _cross_rows.cache_clear()
+        tri = triangle_family(117, 3)
+        rows = _cross_rows(117, 3, 1)
+        pool = _decode(_dual(tri.members, rows), enumerate_ksubsets(117, 3))
+        # the triangle family is its own 1-dual among the 3-sets
+        assert pool == list(tri.members) and len(pool) == 343
+        assert len(rows) == 343
 
 
 def reference_kk_sweep(n, k, l):
