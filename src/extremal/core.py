@@ -209,15 +209,20 @@ def meet(fam: SetFamily, p) -> SetFamily:
 def columns(masks: Sequence[int], n: int) -> list[int]:
     """Per-element bit sets over positions: bit p of entry e - 1 is set iff `masks[p]` holds e.
 
-    The transpose of `masks` for e in [n]; each mask is walked once.
+    The transpose of `masks` for e in [n]; each mask is walked once.  The bits
+    are set in blocks of 1,024 positions, and each block's column is shifted in
+    once, so no bit is set in an ever longer int.
     """
     cols = [0] * n
-    for p, m in enumerate(masks):
-        bit = 1 << p
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= bit
-            m ^= low
+    for start in range(0, len(masks), 1024):
+        block = [0] * n
+        for p, m in enumerate(masks[start:start + 1024]):
+            bit = 1 << p
+            while m:
+                low = m & -m
+                block[low.bit_length() - 1] |= bit
+                m ^= low
+        cols = [c | b << start for c, b in zip(cols, block)] if start else block
     return cols
 
 

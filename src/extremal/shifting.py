@@ -164,8 +164,12 @@ class ShiftTrace:
     steps: list = field(default_factory=list)  # [( (i,j), (w_before per slot) ), ...]
     steps_truncated: int = 0
     final_weights: tuple = ()
-    resistant_pairs: list = field(default_factory=list)  # [(i,j), ...]
     resistant_blame: dict = field(default_factory=dict)  # (i,j) -> (moved per slot)
+
+    @property
+    def resistant_pairs(self) -> list:
+        """The blocked pairs [(i,j), ...], in the order `resistant_blame` holds them."""
+        return list(self.resistant_blame)
 
     def to_json_dict(self) -> dict:
         return {
@@ -317,6 +321,5 @@ def shift_ad_extremis(
         for f in out:
             f._initial = True
     trace.final_weights = tuple(weights)
-    trace.resistant_pairs = list(blocked)
     trace.resistant_blame = blocked
     return out, trace

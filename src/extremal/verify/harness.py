@@ -345,10 +345,10 @@ def initial_families(n: int, k: int):
 
 
 def _count_within(walk, budget: int) -> int:
-    """How many items `walk` yields; refused as soon as two evaluations each pass `budget`."""
+    """The sum of the sizes `walk` yields, refused once two evaluations per instance pass `budget`."""
     count = 0
-    for _ in walk:
-        count += 1
+    for size in walk:
+        count += size
         if 2 * count > budget:
             raise BudgetError(
                 f"at least {2 * count} evaluations exceed budget {budget} (counting stopped there)"
@@ -415,46 +415,39 @@ def _dual(members, rows: _Rows) -> int:
     return out
 
 
-def _refuse_unwalkable(n: int, uniformities: tuple[int, ...], budget: int) -> None:
-    """Refuse an initial space before any k-set is listed when it must pass the budget.
+def _antichain_exponent(n: int, u: int) -> int:
+    """A lower bound on log2 of the number of initial u-families on [n].
 
-    The k-sets of one weight (element sum) are an antichain of the shifting
+    The u-sets of one weight (element sum) are an antichain of the shifting
     order, and each subset of an antichain generates its own initial family.
-    The C(n, k) k-sets spread over k(n-k)+1 weights, so there are at least
-    2**ceil(C(n, k) / (k(n-k)+1)) initial families, and at least as many pairs.
+    The C(n, u) u-sets spread over u(n-u)+1 weights, so there are at least
+    2**ceil(C(n, u) / (u(n-u)+1)) initial families (and 0 u-sets for u > n).
     """
-    sizes = [comb(n, u) for u in uniformities]
-    least = max(-(-size // (u * (n - u) + 1)) for size, u in zip(sizes, uniformities))
-    if least >= int(budget).bit_length():
-        raise BudgetError(
-            f"estimated 2**{sum(sizes) + 1} evaluations (an upper bound; the space holds at "
-            f"least 2**{least} instances) exceed budget {budget}"
-        )
+    return -(-comb(n, u) // (max(u * (n - u), 0) + 1))
 
 
-def _over_budget(estimate, exact: bool, budget: int) -> BudgetError:
-    bound = "" if exact else " (an upper bound: the space is too large to count)"
-    return BudgetError(f"estimated {estimate} evaluations{bound} exceed budget {budget}")
-
-
-def _power_of_two(exponent: int, exact: bool, budget: int) -> int:
-    """2**exponent, refused from the exponent, before it is formed, past the budget."""
+def _refuse_from_exponent(least: int, most: int, budget: int) -> None:
+    """Refuse a space that holds at least 2**least and at most 2**most instances
+    when 2**least alone passes the budget, before anything is listed."""
     # int(): a budget read from a suite file or report may be a JSON float such as 1e8
-    if exponent >= int(budget).bit_length():
-        raise _over_budget(f"2**{exponent + 1}", exact, budget)
-    return 1 << exponent
+    if least >= int(budget).bit_length():
+        bound = f" (an upper bound; the space holds at least 2**{least} instances)"
+        bound = bound if least < most else ""
+        raise BudgetError(f"estimated 2**{most + 1} evaluations{bound} exceed budget {budget}")
 
 
 def _space(space: str, grid: dict, params: dict, budget: int):
-    """Instance count, whether it is exact, and the instance stream of one space.
+    """The instance count and the instance stream of one space.
 
     Nothing is built unless the stream is consumed, and then one instance at a
     time.  The `initial` spaces stream straight from the downset walk, so no
     space is listed whole; `initial-pairs` builds each family once, when first
-    met.  They are counted by the same walk, which builds nothing and stops
-    once two evaluations per instance pass the budget; past the `dual-pairs`
-    size cap the count is an upper bound.  Both pair spaces read A's t-dual
-    as the AND of the rows of A's members in `_cross_rows(n, l, t)`.
+    met.  A space is first refused from the exponent of its least size, before
+    anything is listed.  The `initial` spaces and `dual-pairs` are then counted
+    by the walk that their stream reads, which builds no instance and stops
+    once two evaluations per instance pass the budget; a `dual-pairs` A counts
+    2**|dual(A)| pairs.  Both pair spaces read A's t-dual as the AND of the
+    rows of A's members in `_cross_rows(n, l, t)`.
     """
     if space == "grid":
         # a [lo, hi] list is a dimension swept over lo..hi, any other key a fixed param
@@ -475,7 +468,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
             for combo in product(*ranges.values()):
                 yield Instance((), {**params, **dict(zip(ranges, combo))})
 
-        return prod(map(len, ranges.values())), True, stream()
+        return prod(map(len, ranges.values())), stream()
     for key in ("n", "k"):
         if key not in grid:
             raise ValueError(f"the {space} space needs grid dimension {key!r}")
@@ -502,26 +495,28 @@ def _space(space: str, grid: dict, params: dict, budget: int):
             for bits in range(1 << m):
                 yield Instance((fam(k, _decode(bits, masks)),), dict(params))
 
-        return _power_of_two(m, True, budget), True, stream()
+        _refuse_from_exponent(m, m, budget)
+        return 1 << m, stream()
     # the downset walk is output-sensitive: the initial spaces are counted by walking them
     if space == "initial":
-        _refuse_unwalkable(n, (k,), budget)
-        count = _count_within(_downsets(n, k), budget)
+        _refuse_from_exponent(_antichain_exponent(n, k), m, budget)
+        count = _count_within((1 for _ in _downsets(n, k)), budget)
 
         def stream():
             for members in _downsets(n, k):
                 yield Instance((initial(k, members),), dict(params))
 
-        return count, True, stream()
+        return count, stream()
     if space in ("initial-pairs", "dual-pairs") and not 0 <= l <= n:
         raise ValueError(f"{space} grid dimension 'l' must lie in [0, n={n}], got {l}")
     if space == "initial-pairs":
         # B ranges over the initial l-families inside A's t-dual, itself initial when A is
-        _refuse_unwalkable(n, (k, l), budget)
+        least = max(_antichain_exponent(n, k), _antichain_exponent(n, l))
+        _refuse_from_exponent(least, m + comb(n, l), budget)
         t = params.get("t", 1)
         rows = _cross_rows(n, l, t)
         count = _count_within(
-            (b for a in _downsets(n, k) for b in _downsets(n, l, _dual(a, rows))), budget
+            (1 for a in _downsets(n, k) for _ in _downsets(n, l, _dual(a, rows))), budget
         )
 
         def stream():
@@ -532,17 +527,25 @@ def _space(space: str, grid: dict, params: dict, budget: int):
                 for b in _downsets(n, l, _dual(a, rows)):
                     yield Instance((fa, once(l, b)), dict(params), cross_t=t)
 
-        return count, True, stream()
+        return count, stream()
     if space == "dual-pairs":
+        # every A pairs with B = {}, and A = {} with every B
+        _refuse_from_exponent(max(m, comb(n, l)), m + comb(n, l), budget)
         t = params.get("t", 1)
 
-        def stream():
-            a_masks, b_masks = enumerate_ksubsets(n, k), enumerate_ksubsets(n, l)
-            rows = _cross_rows(n, l, t)
+        def duals():
+            # B may contain exactly the sets t-compatible with every chosen A-member
+            a_masks, rows = enumerate_ksubsets(n, k), _cross_rows(n, l, t)
             for abits in range(1 << m):
-                fa = fam(k, _decode(abits, a_masks))
-                # B may contain exactly the sets t-compatible with every chosen A-member
-                dual = _dual(fa.members, rows)
+                members = _decode(abits, a_masks)
+                yield members, _dual(members, rows)
+
+        count = _count_within((1 << dual.bit_count() for _, dual in duals()), budget)
+
+        def stream():
+            b_masks = enumerate_ksubsets(n, l)
+            for members, dual in duals():
+                fa = fam(k, members)
                 sub = dual
                 while True:
                     fb = fam(l, _decode(sub, b_masks))
@@ -551,11 +554,7 @@ def _space(space: str, grid: dict, params: dict, budget: int):
                         break
                     sub = (sub - 1) & dual
 
-        if m > 22:
-            return _power_of_two(2 * m, False, budget), False, stream()
-        a_masks, rows = enumerate_ksubsets(n, k), _cross_rows(n, l, t)
-        duals = (_dual(_decode(abits, a_masks), rows) for abits in range(1 << m))
-        return sum(1 << dual.bit_count() for dual in duals), True, stream()
+        return count, stream()
     raise ValueError(f"unknown space {space!r}")
 
 
@@ -665,9 +664,9 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
         "grid": {**grid, "space": space, "params": {k: param_repr(v) for k, v in params.items()}},
         "budget": budget,
     }
-    count, exact, instances = _space(space, grid, params, budget)
+    count, instances = _space(space, grid, params, budget)
     if 2 * count > budget:
-        raise _over_budget(2 * count, exact, budget)
+        raise BudgetError(f"estimated {2 * count} evaluations exceed budget {budget}")
     if sid == "KRUSKAL_KATONA" and space == "families":
         return _kk_exhaustive(grid["n"], grid["k"], params, config)
     return _consume(sid, instances, config, budget)

@@ -375,6 +375,12 @@ class TestColumns:
             assert columns(f.members, n) == want
             assert sum(c.bit_count() for c in columns(f.members, n)) == k * len(f)
 
+    def test_transpose_across_blocks(self):
+        # 1,140 positions: a full block of 1,024 and a partial one
+        masks = enumerate_ksubsets(20, 3)
+        want = [sum(1 << p for p, m in enumerate(masks) if m >> e & 1) for e in range(20)]
+        assert len(masks) == 1140 and columns(masks, 20) == want
+
 
 class TestHash:
     def test_hash_is_the_tuple_hash_computed_once(self):

@@ -548,7 +548,6 @@ def reference_ad_extremis(families, prop, upto=None):
                 else:
                     blocked[(i, j)] = tuple(s != f for s, f in zip(shifted, fams))
     trace.final_weights = tuple(weight(f) for f in fams)
-    trace.resistant_pairs = list(blocked)
     trace.resistant_blame = blocked
     return fams, trace
 

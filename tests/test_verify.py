@@ -247,8 +247,8 @@ class TestSweeps:
         ],
     )
     def test_budget_refusal_flags_upper_bound(self, sid, grid):
-        # past the counting caps the estimate is 2**m or 4**m, not a count: for the initial
-        # spaces, where the weight antichains alone give more instances than the budget
+        # each space is refused from the exponent of its least size before anything is
+        # listed, so its estimate is an upper bound, printed beside that lower bound
         with pytest.raises(BudgetError, match="upper bound"):
             exhaustive_sweep(sid, grid)
 
@@ -767,6 +767,7 @@ SPACES = [
     ("initial-pairs", {"n": 5, "k": 2, "l": 2}, {}),
     ("dual-pairs", {"n": 4, "k": 2, "l": 2}, {"t": 1}),
     ("dual-pairs", {"n": 5, "k": 3, "l": 2}, {"t": 2}),
+    ("dual-pairs", {"n": 4, "k": 1, "l": 2}, {"t": 0}),
 ]
 
 
@@ -778,9 +779,8 @@ class TestSpaces:
     def test_space_matches_oracle(self, space, grid, params):
         from extremal.verify.harness import _space
 
-        count, exact, stream = _space(space, grid, params, 10**8)
+        count, stream = _space(space, grid, params, 10**8)
         got = list(stream)
-        assert exact
         assert count == len(got)
         assert got == list(_oracle_space_instances(space, grid, params))
 
@@ -807,7 +807,7 @@ class TestSpaces:
         from extremal.verify.harness import _space
 
         def consume():
-            count, _, stream = _space("initial", {"n": 8, "k": 4}, {}, 10**8)
+            count, stream = _space("initial", {"n": 8, "k": 4}, {}, 10**8)
             assert count == sum(1 for _ in stream) == 9_304
 
         consume()  # the caches of k-sets and the shifting order are not the stream's
@@ -892,9 +892,9 @@ class TestInitialFamilies:
     def test_pair_space_shares_family_objects(self, l):
         from extremal.verify.harness import _space
 
-        count, exact, stream = _space("initial-pairs", {"n": 5, "k": 2, "l": l}, {}, 10**8)
+        count, stream = _space("initial-pairs", {"n": 5, "k": 2, "l": l}, {}, 10**8)
         pairs = [inst.families for inst in stream]
-        assert exact and count == len(pairs)
+        assert count == len(pairs)
         # one object per family, so each is proven initial once per sweep
         lefts = {id(a) for a, _ in pairs}
         rights = {id(b) for _, b in pairs}
@@ -952,9 +952,9 @@ class TestInitialPairSpace:
         from extremal.verify.harness import _space
 
         grid, params = {"n": n, "k": k, "l": l}, {"t": t}
-        count, exact, stream = _space("initial-pairs", grid, params, 10**8)
+        count, stream = _space("initial-pairs", grid, params, 10**8)
         got = list(stream)
-        assert exact and count == len(got)
+        assert count == len(got)
         assert got == list(_oracle_space_instances("initial-pairs", grid, params))
 
     @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3)])
@@ -1000,7 +1000,7 @@ class TestInitialPairSpace:
     def test_listed_pairs_are_cross_t_intersecting(self, n, k, l, t):
         from extremal.verify.harness import _space
 
-        _, _, stream = _space("initial-pairs", {"n": n, "k": k, "l": l}, {"t": t}, 10**8)
+        _, stream = _space("initial-pairs", {"n": n, "k": k, "l": l}, {"t": t}, 10**8)
         for inst in stream:
             assert inst.cross_t == t
             assert is_cross_t_intersecting(*inst.families, t)
@@ -1009,7 +1009,7 @@ class TestInitialPairSpace:
         from extremal.verify.harness import _space
 
         for t in (0, 1, 2):
-            _, _, stream = _space("dual-pairs", {"n": 5, "k": 2, "l": 3}, {"t": t}, 10**8)
+            _, stream = _space("dual-pairs", {"n": 5, "k": 2, "l": 3}, {"t": t}, 10**8)
             for inst in stream:
                 assert inst.cross_t == t
                 assert is_cross_t_intersecting(*inst.families, t)
@@ -1047,7 +1047,7 @@ class TestInitialPairSpace:
         from extremal.verify.registry import _prefix_rows, _prop_3_13_concl
 
         # t = 0 lists the full product, pairs that break the conclusion included
-        _, _, stream = _space("initial-pairs", {"n": 6, "k": 3}, {"t": 0}, 10**8)
+        _, stream = _space("initial-pairs", {"n": 6, "k": 3}, {"t": 0}, 10**8)
         _prefix_rows.cache_clear()
         verdicts = []
         for inst in stream:
@@ -1060,14 +1060,36 @@ class TestInitialPairSpace:
     def test_counting_stops_at_the_budget(self):
         from extremal.verify.harness import _space
 
-        count, exact, _ = _space("initial", {"n": 9, "k": 3}, {}, 2 * 21_760)
-        assert (count, exact) == (21_760, True)
+        count, _ = _space("initial", {"n": 9, "k": 3}, {}, 2 * 21_760)
+        assert count == 21_760
         with pytest.raises(BudgetError, match="at least 43520 evaluations exceed budget 43519"):
             _space("initial", {"n": 9, "k": 3}, {}, 2 * 21_760 - 1)
-        count, _, _ = _space("initial-pairs", {"n": 6, "k": 3}, {}, 10**8)
+        count, _ = _space("initial-pairs", {"n": 6, "k": 3}, {}, 10**8)
         assert count == 1_796
         with pytest.raises(BudgetError, match="at least 3000 evaluations exceed budget 2999"):
             _space("initial-pairs", {"n": 6, "k": 3}, {}, 2999)
+
+    @pytest.mark.parametrize("sid,space", [("EQ_2_1", "initial"), ("PROP_3_15", "initial-pairs")])
+    def test_k_above_n_is_named_before_any_count(self, sid, space):
+        # no k-set of [0]: the antichain bound is 0, and the lister names k and n
+        with pytest.raises(ValueError, match=r"k=1 outside \[0, n=0\]"):
+            exhaustive_sweep(sid, {"n": 0, "k": 1, "l": 0, "space": space})
+
+    def test_dual_pairs_refused_before_any_row_is_built(self):
+        from extremal.verify.harness import _cross_rows
+
+        # every one of the 2**21 sets A of 2-sets of [7] pairs with B = {}
+        _cross_rows.cache_clear()
+        with pytest.raises(BudgetError, match=r"the space holds at least 2\*\*21 instances"):
+            exhaustive_sweep("HILTON", {"n": 7, "k": 2, "l": 2, "space": "dual-pairs"}, budget=10)
+        assert _cross_rows.cache_info().currsize == 0
+
+    def test_dual_pairs_past_22_sets_are_counted(self):
+        # 2**24 + 22 pairs of families of singletons of [23], which fit the default budget;
+        # at this budget the walk stops after a few dozen of its 2**23 As
+        with pytest.raises(BudgetError, match=r"budget 16777316 \(counting stopped there\)"):
+            exhaustive_sweep("HILTON", {"n": 23, "k": 1, "l": 1, "space": "dual-pairs"},
+                             budget=2**24 + 100)
 
 
 def reference_dual_members(a_fam, l, t):
@@ -1241,7 +1263,7 @@ class TestKruskalKatonaSweep:
 
         res = kk_sweep(4, 2, {"l": l})
         generic = _consume("KRUSKAL_KATONA",
-                           _space("families", {"n": 4, "k": 2}, {"l": l}, 10**8)[2],
+                           _space("families", {"n": 4, "k": 2}, {"l": l}, 10**8)[1],
                            {}, 10**8)["result"]
         assert {key: res[key] for key in KK_KEYS} == {key: generic[key] for key in KK_KEYS}
         assert res["totals"] == {"pass": 0, "vacuous": 64, "fail": 0}
