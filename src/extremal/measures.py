@@ -79,6 +79,21 @@ def is_nontrivial(fam: SetFamily) -> bool:
     return is_nontrivial_masks(fam.members, fam.n)
 
 
+def _share_at_least(members: Sequence[int], t: int) -> bool:
+    """Whether all the members together share at least t elements.
+
+    One AND pass, stopped once the common part drops below t.  True means every
+    choice of members shares t elements too, so the callers need no pairwise or
+    r-wise pass.
+    """
+    common = -1
+    for m in members:
+        common &= m
+        if common.bit_count() < t:
+            return False
+    return True
+
+
 def is_t_intersecting(fam: SetFamily, t: int) -> bool:
     """Every two members (including a member with itself) share >= t elements."""
     ms = fam.members
@@ -86,7 +101,7 @@ def is_t_intersecting(fam: SetFamily, t: int) -> bool:
         return True
     if t > fam.k:
         return False
-    if t <= 0:
+    if t <= 0 or _share_at_least(ms, t):
         return True
     for i, a in enumerate(ms):
         for b in ms[i + 1 :]:
@@ -164,7 +179,7 @@ def is_r_wise_t_intersecting_masks(members: Sequence[int], r: int, t: int) -> bo
     """Every r member masks (repetition allowed, any sizes) share >= t elements."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
-    if not members or t <= 0:
+    if not members or t <= 0 or _share_at_least(members, t):
         return True
     return _min_intersection_over(members, r, stop_below=t) >= t
 

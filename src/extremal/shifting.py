@@ -15,12 +15,20 @@ mask) are rechecked on deg(i) alone, against the cap that `degree_cap` reads
 off both; the exact search shares that cap.  Those five atoms are the only
 ones the engine accepts.
 
-The engine keeps each slot's members at fixed positions, with one column per
-element: the bit set of the positions whose member holds it
-(`core.columns`).  The candidates of a pair (i,j) are then
-`cols[j] & ~cols[i]`, one AND, and deg(i) is a popcount.  A candidate stays
-put only when its image, which holds i and not j, is a member already, so
-the member set is consulted only when some member holds i without j.
+The engine keeps each slot in one of two states, chosen by n alone.  Up to
+n = `MASK_SET_MAX_N` a slot is one bit set over all 2^n masks, bit m set iff m
+is a member.  The candidates of a pair (i,j) are then one AND with the row of
+masks holding j and not i, their images lie the fixed distance
+2^(j-1) - 2^(i-1) lower, so the candidates whose image is absent take two
+shifts and an AND more, and a step is one XOR; deg(i) is the popcount of an
+AND with the masks holding i.  No member is visited, but every operation
+costs time in proportion to 2^n.  Above, a slot keeps its members at fixed
+positions, with one column per element: the bit set of the positions whose
+member holds it (`core.columns`).  The candidates are `cols[j] & ~cols[i]`
+and deg(i) is a popcount; a candidate stays put only when its image is a
+member already, so the member set is consulted, one candidate at a time,
+only when some member holds i without j.  Its costs grow with the members,
+not with 2^n, which is why it serves the larger n.
 
 The pair rows (`_pairs`) are built once per `upto` and shared.  Sizes never
 change and no degree exceeds |F|, so only the slots whose cap is below |F|
@@ -213,6 +221,13 @@ def degree_cap(prop, slot: int) -> Callable[[int], int]:
     return lambda size: min(size - drop, num * size // den)
 
 
+# The largest n whose slots the engine keeps as one bit set over all 2^n masks.
+# An operation on such a set takes time in proportion to 2^n, whatever the
+# family's size; 13 is the largest n at which it beat the member positions on
+# every shape measured (BENCH_pr31.json `crossover`).
+MASK_SET_MAX_N = 13
+
+
 def shift_ad_extremis(
     families: Sequence[SetFamily], prop, upto: int | None = None
 ) -> tuple[tuple[SetFamily, ...], ShiftTrace]:
@@ -228,17 +243,20 @@ def shift_ad_extremis(
 
     The loop also ends, before a pass, when the last pass blocked no pair (or
     none has run yet) and every slot is closed under unit predecessors on
-    [upto] (`core.is_closed`): every pair then fixes every slot, so that pass
-    would apply no shift and block no pair, and the resistant list is empty.
-    An initial input thus examines no pair at all.
+    [upto]: every pair then fixes every slot, so that pass would apply no shift
+    and block no pair, and the resistant list is empty.  An initial input thus
+    examines no pair at all.
 
-    Each slot is kept as its members by position, a member set, per-element
-    column bit sets over the positions and a running weight, sum e*deg(e)
-    read off the columns; a step moves only the members that have j, lack i
-    and whose image is absent, rewriting them in place, and the property is
-    rechecked on deg(i) of the slots whose cap can bind (see the module
-    docstring).  An atom other than the five defined here raises `TypeError`,
-    and an `upto` that is not an int in [0, n] raises `ValueError`.
+    A step moves only the members that have j, lack i and whose image is
+    absent, and the property is rechecked on deg(i) of the slots whose cap can
+    bind (see the module docstring).  Up to n = `MASK_SET_MAX_N` each slot is
+    one bit set over all 2^n masks, so a pair costs a few operations on it
+    whatever the slot's size; above, each slot keeps its members at fixed
+    positions with one column bit set over the positions per element, whose
+    cost grows with the members instead of 2^n.  Both give the same outputs
+    and trace.  An atom other than the five defined here raises `TypeError`;
+    an atom naming a slot outside the tuple, or an `upto` that is not an int
+    in [0, n], raises `ValueError`.
     """
     fams = tuple(families)
     if not fams:
@@ -251,18 +269,39 @@ def shift_ad_extremis(
     elif type(upto) is not int or not 0 <= upto <= n:
         raise ValueError(f"upto must be an int in [0, n={n}], got {upto!r}")
     caps = [degree_cap(prop, slot)(len(f)) for slot, f in enumerate(fams)]
+    for atom in prop.atoms():
+        named = (atom.slot_a, atom.slot_b) if isinstance(atom, CrossTIntersecting) else (atom.slot,)
+        for s in named:
+            if not 0 <= s < len(fams):
+                raise ValueError(f"{atom!r} names a slot outside the {len(fams)} slot(s) given")
     if not prop.holds(fams):
         raise ValueError("property does not hold on the input tuple")
 
+    # sizes never change, and no degree exceeds the size: a cap of |F| or more never binds
+    capped = [(slot, cap) for slot, (f, cap) in enumerate(zip(fams, caps)) if cap < len(f)]
+    trace = ShiftTrace()
+    engine = _by_mask_sets if n <= MASK_SET_MAX_N else _by_positions
+    members, weights, blocked = engine(fams, upto, capped, trace)
+    out = tuple(SetFamily(f.n, f.k, ms, _trusted=True) for f, ms in zip(fams, members))
+    if not blocked and upto == n:
+        # the closure exit, or a last pass that neither applied nor blocked a shift:
+        # every pair fixes every slot
+        for f in out:
+            f._initial = True
+    trace.final_weights = tuple(weights)
+    trace.resistant_blame = blocked
+    return out, trace
+
+
+def _by_positions(fams, upto, capped, trace):
+    """The engine on member positions; returns (sorted members, weights, blocked) per slot."""
+    n = fams[0].n
     members = [set(f.members) for f in fams]
     cols = [columns(f.members, n) for f in fams]  # element e+1 -> positions holding it
     # per slot: the member at each position, the member set and the columns; a step
     # rewrites the moved positions in place, so positions never move
     slots = [(list(f.members), ms, cs) for f, ms, cs in zip(fams, members, cols)]
     weights = [sum(e * c.bit_count() for e, c in enumerate(cs, 1)) for cs in cols]
-    # sizes never change, and no degree exceeds the size: a cap of |F| or more never binds
-    capped = [(slot, cap) for slot, (f, cap) in enumerate(zip(fams, caps)) if cap < len(f)]
-    trace = ShiftTrace()
     steps = trace.steps
     changed = True
     blocked = {}  # (i,j) -> moved per slot, for the last pass
@@ -313,13 +352,107 @@ def shift_ad_extremis(
                             vs[p] ^= both
                             ms.add(vs[p])
                 changed = True
+    return [sorted(ms) for ms in members], weights, blocked
 
-    out = tuple(SetFamily(f.n, f.k, sorted(ms), _trusted=True) for f, ms in zip(fams, members))
-    if not blocked and upto == n:
-        # the closure exit, or a last pass that neither applied nor blocked a shift:
-        # every pair fixes every slot
-        for f in out:
-            f._initial = True
-    trace.final_weights = tuple(weights)
-    trace.resistant_blame = blocked
-    return out, trace
+
+@cache
+def _mask_rows(n: int) -> tuple[list[int], list[list[tuple[int, int] | None]]]:
+    """Bit sets over all 2^n masks: per element e + 1, the masks holding it; and per
+    i1 < j1, (the masks holding j1 + 1 and not i1 + 1, the distance 2^j1 - 2^i1 from
+    each of them down to its image).
+
+    Built once per n and shared, so read-only.
+    """
+    holders = []
+    for e in range(n):
+        # period 2^(e+1): the low half of the masks lack e + 1, the high half hold it
+        h, width = ((1 << (1 << e)) - 1) << (1 << e), 2 << e
+        while width < 1 << n:
+            h |= h << width
+            width <<= 1
+        holders.append(h)
+    rows = [
+        [(holders[j1] & ~holders[i1], (1 << j1) - (1 << i1)) if i1 < j1 else None
+         for j1 in range(n)]
+        for i1 in range(n)
+    ]
+    return holders, rows
+
+
+def _mask_set(members: Sequence[int], n: int) -> int:
+    """The bit set over all 2^n masks whose bit m is set iff m is a member."""
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for m in members:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _masks_of(mask_set: int) -> list[int]:
+    """The members of a bit set over masks, ascending."""
+    bits = bin(mask_set)[:1:-1]  # bit m at index m
+    out = []
+    m = bits.find("1")
+    while m >= 0:
+        out.append(m)
+        m = bits.find("1", m + 1)
+    return out
+
+
+def _mask_sets_closed(sets: list[int], units: list[tuple[int, int]]) -> bool:
+    """Whether each bit set holds every unit predecessor of its masks, given the
+    `_mask_rows` entries of the unit pairs (y - 1, y)."""
+    for b in sets:
+        for row, d in units:
+            if (b & row) >> d & ~b:
+                return False
+    return True
+
+
+def _by_mask_sets(fams, upto, capped, trace):
+    """The engine on one bit set over all 2^n masks per slot; returns as `_by_positions`.
+
+    A pair's candidates are `mask_set & row`, and their images lie the row's
+    distance d lower, so the candidates whose image is absent are
+    `src ^ ((src >> d) & mask_set) << d`; a step flips them and their images.
+    """
+    holders, rows = _mask_rows(fams[0].n)
+    sets = [_mask_set(f.members, f.n) for f in fams]
+    weights = [sum(e * (b & h).bit_count() for e, h in enumerate(holders, 1)) for b in sets]
+    units = [rows[i1][i1 + 1] for i1 in range(upto - 1)]
+    steps = trace.steps
+    changed = True
+    blocked = {}  # (i,j) -> moved per slot, for the last pass
+    while changed:
+        # with no pair blocked last pass, closed slots leave the next pass nothing to try
+        if not blocked and _mask_sets_closed(sets, units):
+            break
+        changed = False
+        blocked = {}
+        for i, j, i1, j1, both, gap in _pairs(upto):
+            row, d = rows[i1][j1]
+            moved = []
+            some = 0
+            for b in sets:
+                mv = b & row
+                if mv:
+                    mv ^= (mv >> d & b) << d
+                    some |= mv
+                moved.append(mv)
+            if not some:
+                continue
+            # every degree is within its cap already; only deg(i) rises
+            for slot, cap in capped:
+                if (sets[slot] & holders[i1]).bit_count() + moved[slot].bit_count() > cap:
+                    blocked[(i, j)] = tuple(map(bool, moved))
+                    break
+            else:
+                if len(steps) < STEP_CAP:
+                    steps.append(((i, j), tuple(weights)))
+                else:
+                    trace.steps_truncated += 1
+                for slot, mv in enumerate(moved):
+                    if mv:
+                        sets[slot] ^= mv | mv >> d
+                        weights[slot] -= gap * mv.bit_count()
+                changed = True
+    return [_masks_of(b) for b in sets], weights, blocked

@@ -275,6 +275,26 @@ class TestIntersectingPredicates:
         with pytest.raises(ValueError):
             is_r_wise_t_intersecting(fano(), 1, 1)
 
+    def test_common_part_exit_matches_definitions(self):
+        # the predicates answer True from one AND pass when all members share t points;
+        # every family with C(n, k) <= 10 (n >= 2, as SetFamily requires), against the definitions
+        grid = [(n, k) for n in range(2, 11) for k in range(n + 1) if comb(n, k) <= 10]
+        checked = 0
+        for n, k in grid:
+            for f in all_families(n, k):
+                ms = f.members
+                for t in range(k + 2):
+                    pairwise = all((a & b).bit_count() >= t for a, b in combinations(ms, 2))
+                    assert is_t_intersecting(f, t) == (pairwise and (not ms or t <= k)), (f, t)
+                    for r in (2, 3):
+                        r_wise = all(
+                            _and_all(c).bit_count() >= t
+                            for c in combinations_with_replacement(ms, r)
+                        )
+                        assert is_r_wise_t_intersecting_masks(ms, r, t) == r_wise, (f, r, t)
+                    checked += 1
+        assert checked > 20_000
+
     def test_r_wise_against_brute_force(self):
         rng = random.Random(12)
         for _ in range(40):

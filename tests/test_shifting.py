@@ -3,6 +3,8 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -638,6 +640,14 @@ class TestIncrementalEngine:
             with pytest.raises(TypeError, match="Anything"):
                 degree_cap(prop, 0)
 
+    def test_atom_naming_a_missing_slot_raises(self):
+        f = fam(4, 2, (2, 3))
+        for atom in (RhoAtMost(1, Fraction(1, 2)), CrossTIntersecting(0, 2, 1), NonTrivial(-1)):
+            with pytest.raises(ValueError, match=type(atom).__name__ + r".* the 1 slot\(s\)"):
+                shift_ad_extremis((f,), And((atom,)))
+        with pytest.raises(ValueError, match=r"CrossTIntersecting.* the 2 slot\(s\)"):
+            shift_ad_extremis((f, f), And((RhoAtMost(0, Fraction(1)), CrossTIntersecting(1, 2, 1))))
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_degree_cap_matches_guards_on_every_family(self, n):
         guards = [
@@ -738,3 +748,76 @@ class TestEngineOnWiderShapes:
         assert ran["none"] == len(draws) and ran["rho<=1/2"] >= 2, ran
         assert ran["cross(0,1)&rho<=2/3"] >= (2 if n == 9 else 0), ran
         assert ran["steps"] > 0 and (ran["blocked"] > 0 or n == 10), ran
+
+
+class TestEnginePaths:
+    """Up to `MASK_SET_MAX_N` the engine keeps bit sets over all masks, above it positions."""
+
+    GUARDS = ("none", "rho<=1/2", "cross(0,1)&rho<=2/3")
+
+    def draw(self, rng, n, shape):
+        """Seeded slots of a few shapes: one slot; a cross pair with l != k (B from A's
+        dual); a pair whose second slot has k = 0; three slots."""
+        if shape == "single":
+            return (rand_family(rng, n, 3, 12 / comb(n, 3)),)
+        if shape == "cross-l2":
+            # three 3-sets on six random points (all five at n = 5), redrawn until both
+            # slots have rho <= 2/3
+            while True:
+                six = rng.sample([1 << e for e in range(n)], min(n, 6))
+                triples = sorted(x | y | z for x, y, z in combinations(six, 3))
+                a = SetFamily(n, 3, rng.sample(triples, 3))
+                dual = [c for c in enumerate_ksubsets(n, 2) if all(c & m for m in a.members)]
+                b = SetFamily(n, 2, [c for c in dual if rng.random() < 0.6])
+                if len(b) > 1 and max(rho(a), rho(b)) <= Fraction(2, 3):
+                    return a, b
+        if shape == "k0":
+            return rand_family(rng, n, 2, 8 / comb(n, 2)), SetFamily(n, 0, [0])
+        return tuple(rand_family(rng, n, rng.choice((2, 3)), 0.15) for _ in range(3))
+
+    def guarded(self, fams):
+        for spec in self.GUARDS[: 2 if len(fams) == 1 else 3]:
+            prop = parse_property_spec(spec, slots=len(fams))
+            if prop.holds(fams):
+                yield spec, prop
+
+    @pytest.mark.parametrize("above", [1, 2])
+    def test_positions_above_threshold_match_reference(self, above, monkeypatch):
+        n = shifting.MASK_SET_MAX_N + above
+
+        def refuse(*args):
+            raise AssertionError("bit sets over masks used above MASK_SET_MAX_N")
+
+        monkeypatch.setattr(shifting, "_by_mask_sets", refuse)
+        rng = random.Random(above)
+        ran = dict.fromkeys((*self.GUARDS, "steps", "blocked"), 0)
+        for shape in ("single", "cross-l2", "k0"):
+            fams = self.draw(rng, n, shape)
+            for spec, prop in self.guarded(fams):
+                for upto in (None, 3, n - 1):
+                    trace = assert_same_as_reference(fams, prop, upto)
+                    ran["steps"] += bool(trace.steps)
+                    ran["blocked"] += bool(trace.resistant_pairs)
+                ran[spec] += 1
+        assert all(ran.values()), ran
+
+    def test_mask_sets_match_positions(self, monkeypatch):
+        rng = random.Random(31)
+        ran = dict.fromkeys(self.GUARDS, 0)
+        steps = blocked = 0
+        for n in range(5, shifting.MASK_SET_MAX_N + 1):
+            for shape in ("single", "cross-l2", "k0", "three") * 2:
+                fams = self.draw(rng, n, shape)
+                for spec, prop in self.guarded(fams):
+                    for upto in (None, 3, n - 1):
+                        runs = []
+                        for top in (shifting.MASK_SET_MAX_N, -1):  # -1: positions at every n
+                            monkeypatch.setattr(shifting, "MASK_SET_MAX_N", top)
+                            out, trace = shift_ad_extremis(fams, prop, upto)
+                            runs.append((out, [f._initial for f in out], trace.to_json()))
+                        monkeypatch.undo()
+                        assert runs[0] == runs[1], (n, shape, spec, upto)
+                        steps += bool(trace.steps)
+                        blocked += bool(trace.resistant_pairs)
+                    ran[spec] += 1
+        assert min(ran.values()) >= 15 and steps > 100 and blocked > 30, (ran, steps, blocked)

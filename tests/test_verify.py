@@ -1430,6 +1430,35 @@ class TestSearchRoot:
         for item in items:
             assert item.check(item.call()), item.label
 
+    # closed-form optima beyond reference_search's reach: Ahlswede-Khachatrian's complete
+    # intersection theorem, max over r of |{F : |F ∩ [t+2r]| >= t+r}|, and Hilton-Milner
+    @staticmethod
+    def ahlswede_khachatrian(n, k, t):
+        return max(
+            sum(comb(t + 2 * r, i) * comb(n - t - 2 * r, k - i) for i in range(t + r, k + 1))
+            for r in range((n - t) // 2 + 1)
+        )
+
+    @pytest.mark.parametrize("n,k,t", [(5, 2, 1), (6, 2, 1), (6, 3, 1), (7, 3, 1), (6, 3, 2),
+                                       (7, 3, 2), (8, 3, 2), (7, 4, 2), (8, 4, 2), (8, 4, 3),
+                                       (9, 4, 3)])
+    def test_t_intersecting_optimum_is_ahlswede_khachatrian(self, n, k, t):
+        res = search_max(n, k, And((TIntersecting(0, t),)))
+        assert res.complete and res.max_size == self.ahlswede_khachatrian(n, k, t)
+        assert is_t_intersecting(res.witness, t) and len(res.witness) == res.max_size
+
+    @pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (9, 3), (7, 2), (9, 2)])
+    def test_nontrivial_optimum_is_hilton_milner(self, n, k):
+        res = search_max(n, k, parse_property_spec("intersecting&nontrivial"))
+        assert res.complete
+        assert res.max_size == comb(n - 1, k - 1) - comb(n - k - 1, k - 1) + 1
+
+    def test_incomplete_search_stays_below_closed_form(self):
+        # EKR's C(8, 3) = 56 at (9,4); this budget stops the search well before it
+        res = search_max(9, 4, And((TIntersecting(0, 1),)), budget=2_000)
+        assert not res.complete
+        assert 0 < res.max_size <= self.ahlswede_khachatrian(9, 4, 1) == comb(8, 3)
+
     def test_prune_counts_reported_and_repeatable(self):
         prop = And((TIntersecting(0, 1), RhoAtMost(0, Fraction(1, 2))))
         first, second = search_max(7, 3, prop), search_max(7, 3, prop)
