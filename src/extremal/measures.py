@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import SetFamily, columns, enumerate_ksubsets, is_initial, prefix_mask
 
@@ -60,23 +60,14 @@ def rho(fam: SetFamily) -> Fraction:
     return fam._rho
 
 
-def _common_mask(members: Iterable[int], n: int) -> int:
-    m = (1 << n) - 1
-    for mem in members:
-        m &= mem
-        if not m:
-            break
-    return m
-
-
-def is_nontrivial_masks(members: Sequence[int], n: int) -> bool:
-    """Nonempty with no common element; the member masks may have any sizes."""
-    return bool(members) and _common_mask(members, n) == 0
+def is_nontrivial_masks(members: Sequence[int]) -> bool:
+    """Nonempty with no common element, the t = 1 case of `_share_at_least`; any sizes."""
+    return bool(members) and not _share_at_least(members, 1)
 
 
 def is_nontrivial(fam: SetFamily) -> bool:
     """Nonempty with no common element."""
-    return is_nontrivial_masks(fam.members, fam.n)
+    return is_nontrivial_masks(fam.members)
 
 
 def _share_at_least(members: Sequence[int], t: int) -> bool:

@@ -26,11 +26,13 @@ def lex_masks(ground_elems: tuple[int, ...], k: int, m: int) -> list[int]:
 
 
 def lex_segment(x, k: int, m: int, *, n: int | None = None) -> SetFamily:
-    """The first m k-subsets of the ground set X in lexicographic order."""
+    """The first m k-subsets of the ground set X in lexicographic order, as a family on [n]."""
     ground = elems_of(as_mask(x))
-    masks = lex_masks(ground, k, m)
     if n is None:
         n = max(2, ground[-1] if ground else 2)
+    elif ground and ground[-1] > n:
+        raise ValueError(f"ground element {ground[-1]} is above n={n}")
+    masks = lex_masks(ground, k, m)
     return SetFamily(n, k, sorted(masks), _trusted=True)
 
 

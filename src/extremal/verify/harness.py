@@ -41,6 +41,16 @@ class BudgetError(ValueError):
     """Raised when a sweep would exceed the evaluation budget."""
 
 
+def _resolve_budget(budget) -> int:
+    """`DEFAULT_BUDGET` for None; an int of at least 1, or an integral float such as JSON's
+    1e8, as that int.  Anything else, a bool included, is a ValueError that names it."""
+    value = DEFAULT_BUDGET if budget is None else budget
+    value = int(value) if type(value) is float and value.is_integer() else value
+    if type(value) is not int or value < 1:
+        raise ValueError(f"budget must be at least 1 evaluation, got {budget!r}")
+    return value
+
+
 def _rng_for(seed: int, idx: int) -> random.Random:
     mix = ((seed & 0xFFFFFFFFFFFFFFFF) * 0x9E3779B97F4A7C15 + idx * 0xBF58476D1CE4E5B9) & (
         2**64 - 1
@@ -371,12 +381,12 @@ class _Rows(dict):
     over `enumerate_ksubsets(n, l)`; `everyone` holds all l-sets.
 
     The one definition of "meets in at least t points" for the pair spaces and
-    samplers, and at l = k for `search_max`'s t-intersecting filter.  Keyed by
-    m's mask, so sets of any size share it; a row is built the first time it is
-    read and kept, so a caller pays for the rows it reads, not for one per
-    C(n, k).  Each row is a bit-sliced count over m's columns of l-set indices,
-    saturating at t: `at_least[c]` holds the l-sets met in at least c of the
-    points seen so far.
+    samplers, and at l = k for `search_max`'s candidate filter at every t.
+    Keyed by m's mask, so sets of any size share it; a row is built the first
+    time it is read and kept, so a caller pays for the rows it reads, not for
+    one per C(n, k).  Each row is a bit-sliced count over m's columns of l-set
+    indices, saturating at t: `at_least[c]` holds the l-sets met in at least c
+    of the points seen so far.
     """
 
     def __init__(self, n: int, l: int, t: int):
@@ -429,8 +439,7 @@ def _antichain_exponent(n: int, u: int) -> int:
 def _refuse_from_exponent(least: int, most: int, budget: int) -> None:
     """Refuse a space that holds at least 2**least and at most 2**most instances
     when 2**least alone passes the budget, before anything is listed."""
-    # int(): a budget read from a suite file or report may be a JSON float such as 1e8
-    if least >= int(budget).bit_length():
+    if least >= budget.bit_length():
         bound = f" (an upper bound; the space holds at least 2**{least} instances)"
         bound = bound if least < most else ""
         raise BudgetError(f"estimated 2**{most + 1} evaluations{bound} exceed budget {budget}")
@@ -627,7 +636,7 @@ def sample_sweep(sid, inst_spec, count, seed, budget=None):
         raise ValueError(f"count must be a positive int, got {count!r}")
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
-    budget = budget if budget is not None else DEFAULT_BUDGET
+    budget = _resolve_budget(budget)
     if 2 * count > budget:
         raise BudgetError(f"{count} instances (~{2*count} evaluations) exceed budget {budget}")
     config = {
@@ -649,7 +658,7 @@ def exhaustive_sweep(sid, grid, threads=1, budget=None):
     if sid not in REGISTRY:
         raise ValueError(f"unknown statement id {sid!r}")
     stmt = REGISTRY[sid]
-    budget = budget if budget is not None else DEFAULT_BUDGET
+    budget = _resolve_budget(budget)
     grid = dict(grid)
     spaces = _KINDS[stmt.kind][1]
     space = grid.pop("space", None) or stmt.default_space or next(iter(spaces), None)

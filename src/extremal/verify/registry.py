@@ -762,7 +762,7 @@ _register(
     "slices",
     lambda i: i.params["r"] >= 3
     and is_r_wise_t_intersecting_masks(_slices_members(i), i.params["r"], 1)
-    and is_nontrivial_masks(_slices_members(i), i.families[0].n if i.families else 2),
+    and is_nontrivial_masks(_slices_members(i)),
     lambda i: len(_slices_members(i)) <= brace_daykin_size(i.families[0].n, i.params["r"]),
     "nontrivial r-wise intersecting families obey the Brace-Daykin cap",
 )

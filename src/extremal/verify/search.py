@@ -3,9 +3,9 @@
 Supports conjunctions of the registry atoms on slot 0; every atom is invariant
 under permutations of [n].  A node holds the chosen sets and `left`, the bit
 set over `enumerate_ksubsets` indices of the later candidates that may join
-them.  Choosing a candidate under t-intersecting ANDs `left` with its row in
-`harness._cross_rows(n, k, t)`, the k-sets that meet it in t points or more;
-only the rows of chosen candidates are built.
+them.  Choosing a candidate ANDs `left` with its row in
+`harness._cross_rows(n, k, t)`, the k-sets meeting it in t points or more (all
+k-sets at t = 0, with no t-intersecting atom); only chosen rows are built.
 
 The degree-ratio cap and non-triviality come from `shifting.degree_cap`, one
 nondecreasing cap on the maximum degree with cap(s + a) <= cap(s) + a: a family
@@ -42,10 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import SetFamily, columns, elems_of, enumerate_ksubsets
+from ..core import SetFamily, elems_of, enumerate_ksubsets
 from ..measures import matching_number
 from ..shifting import MatchingAtMost, NonTrivial, RhoAtMost, TIntersecting, degree_cap
-from .harness import DEFAULT_BUDGET, _cross_rows
+from .harness import _cross_rows, _resolve_budget
 
 
 @dataclass
@@ -85,12 +85,10 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     """Exact max |F| over k-graphs on [n] subject to the property, with witness.
 
     Returns best-found with complete=False if the evaluation budget runs out.
-    Raises ValueError for a budget below 1, and when a complete search accepts
-    no family and the empty family fails the property too (no family satisfies it).
+    Raises ValueError for a budget `_resolve_budget` refuses, and when a complete
+    search accepts no family and the empty family fails the property too (none satisfies it).
     """
-    budget = budget if budget is not None else DEFAULT_BUDGET
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1 evaluation, got {budget}")
+    budget = _resolve_budget(budget)
     t_req = 0
     nu_cap: int | None = None
     for atom in prop.atoms():
@@ -105,10 +103,10 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
     cap = degree_cap(prop, 0)
 
     cands = enumerate_ksubsets(n, k)
-    everyone = (1 << len(cands)) - 1
-    rows = _cross_rows(n, k, t_req) if 0 < t_req <= k else None
+    rows = _cross_rows(n, k, t_req)
+    everyone = rows.everyone
     # avoiders[b]: the candidates without element b + 1
-    avoiders = [everyone & ~col for col in columns(cands, n)]
+    avoiders = [everyone & ~col for col in rows.cols]
 
     best_members: list[int] = []
     best_size = 0
@@ -165,8 +163,7 @@ def search_max(n: int, k: int, prop, budget: int | None = None) -> SearchResult:
                 part for cell in cells for part in (cell & cand, cell & ~cand) if part & (part - 1)
             ]
             chosen.append(cand)
-            # `is None`: a relation with no row built yet is an empty dict, so falsy
-            dfs(chosen, rest if rows is None else rest & rows[cand], new_degs, new_cells)
+            dfs(chosen, rest & rows[cand], new_degs, new_cells)
             chosen.pop()
 
     try:

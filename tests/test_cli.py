@@ -191,6 +191,18 @@ class TestLexShadow:
         out = capsys.readouterr().out
         assert out.splitlines() == ["4 2", "1,2", "1,3", "1,4"]
 
+    # a segment that `lex` writes must read back: a ground element above --n is refused
+    def test_lex_ground_above_n_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "seg.txt"
+        argv = ["lex", "--n", "3", "--k", "2", "--m", "1", "--ground", "5,6", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ground element 6 is above n=3"]
+        assert not out.exists()
+        argv[argv.index("5,6")] = "2,3"
+        assert main(argv) == 0
+        assert main(["measure", str(out)]) == 0
+
     def test_shadow(self, tmp_path, capsys):
         fam_file = tmp_path / "f.txt"
         fam_file.write_text("3 3\n1,2,3\n", encoding="utf-8")
@@ -501,6 +513,25 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", "--rerun", str(report), "--budget", "10"]) == 2
         assert "exceed budget 10" in capsys.readouterr().err
+
+    # one budget rule for suite files, reports and --budget: None is the default, an int of
+    # at least 1 or an integral float (JSON 1e8) is taken, anything else exits 2 by name
+    @pytest.mark.parametrize("option, payload, named", [
+        ("--suite", {"budget": "1e8", "entries": [SAMPLE_ENTRY]}, "'1e8'"),
+        ("--suite", {"budget": True, "entries": [SAMPLE_ENTRY]}, "True"),
+        ("--rerun", {"config": dict(SAMPLE_ENTRY, budget=[10**8])}, "[100000000]"),
+        ("--rerun", {"config": {"id": "EKR_1_1", "mode": "exhaustive",
+                                "grid": {"n": 4, "k": 2, "params": {"t": 1}},
+                                "budget": "1e8"}}, "'1e8'"),
+    ])
+    def test_malformed_budget_exit_2(self, tmp_path, capsys, option, payload, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", option, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert err == [f"error: budget must be at least 1 evaluation, got {named}"]
 
     def test_rerun_suite_bundle(self, tmp_path):
         bundle = tmp_path / "suite.json"

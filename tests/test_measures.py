@@ -444,19 +444,38 @@ def all_families(n, k):
 class TestMergedDefinitionOracles:
     def test_mask_versions_on_all_families_5_2(self):
         for f in all_families(5, 2):
-            assert is_nontrivial_masks(f.members, 5) == oracle_nontrivial_nonuniform(f.members, 5)
+            assert is_nontrivial_masks(f.members) == oracle_nontrivial_nonuniform(f.members, 5)
             for r in (2, 3, 4):
                 for t in (1, 2, 3):
                     got = is_r_wise_t_intersecting_masks(f.members, r, t)
                     assert got == oracle_rwise_nonuniform(f.members, r, t)
                     assert got == is_r_wise_t_intersecting(f, r, t)
 
+    # the masks carry no ground set: an element is common whatever bound the caller has in mind
+    def test_nontrivial_masks_by_definition(self):
+        def definition(members):
+            union = 0
+            for m in members:
+                union |= m
+            points = [b for b in range(union.bit_length()) if union >> b & 1]
+            return bool(members) and not any(all(m >> b & 1 for m in members) for b in points)
+
+        assert not is_nontrivial_masks([0b100])
+        assert not is_nontrivial_masks([0b100, 0b110])
+        cases = [[], [0], [0b100], [0b100, 0b110], [0b1, 0b10], [0b11, 0b101, 0b110],
+                 [0b111, 0b1_0000_0001], [1 << 70, 1 << 70 | 1], [1 << 70, 0b1]]
+        rng = random.Random(32)
+        cases += [[rng.randrange(1 << rng.randint(1, 12)) for _ in range(rng.randint(1, 6))]
+                  for _ in range(400)]
+        for members in cases:
+            assert is_nontrivial_masks(members) == definition(members), members
+
     def test_mask_versions_on_mixed_sizes(self):
         rng = random.Random(31)
         for _ in range(400):
             n = rng.randint(3, 8)
             members = sorted({rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 7))})
-            assert is_nontrivial_masks(members, n) == oracle_nontrivial_nonuniform(members, n)
+            assert is_nontrivial_masks(members) == oracle_nontrivial_nonuniform(members, n)
             for r in (2, 3, 5):
                 for t in (1, 2):
                     assert is_r_wise_t_intersecting_masks(members, r, t) == (

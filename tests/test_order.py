@@ -104,6 +104,12 @@ class TestLexSegment:
         with pytest.raises(ValueError):
             lex_segment((1, 2, 3), 2, 4)
 
+    # a family on [n] holds no element above n, so such a ground is refused, not packed
+    def test_ground_above_n_refused(self):
+        with pytest.raises(ValueError, match=r"ground element 6 is above n=3"):
+            lex_segment((5, 6), 2, 1, n=3)
+        assert lex_segment((2, 3), 2, 1, n=3).sets() == [(2, 3)]
+
 
 class TestShadow:
     def test_examples(self):

@@ -238,6 +238,30 @@ class TestSweeps:
                                         "params": {"t": 1, "l": 1}}, budget=1000)
         assert "upper bound" not in str(err.value)  # 2**35 families is exact
 
+    # the two sweeps and the search resolve a budget by one rule, and name a refused value
+    @pytest.mark.parametrize("budget", [True, False, "1e8", [10**8], 0, -1, 2.5,
+                                        float("inf"), float("nan")])
+    def test_one_budget_rule(self, budget):
+        prop = And((TIntersecting(0, 1),))
+        calls = [
+            lambda b: exhaustive_sweep("EKR_1_1", {"n": 4, "k": 2, "params": {"t": 1}}, budget=b),
+            lambda b: sample_sweep("KATONA", RECIPES["KATONA"]["instance"], 2, 1, budget=b),
+            lambda b: search_max(4, 2, prop, budget=b),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call(budget)
+            assert str(err.value) == f"budget must be at least 1 evaluation, got {budget!r}"
+
+    def test_integral_float_budget_is_its_int(self):
+        grid = {"n": 4, "k": 2, "params": {"t": 1}}
+        rep = exhaustive_sweep("EKR_1_1", grid, budget=1e8)
+        assert type(rep["config"]["budget"]) is int
+        assert rep["config"] == exhaustive_sweep("EKR_1_1", grid, budget=10**8)["config"]
+        assert exhaustive_sweep("EKR_1_1", grid)["config"]["budget"] == 10**8
+        prop = And((TIntersecting(0, 1), RhoAtMost(0, Fraction(1, 2))))
+        assert search_max(7, 3, prop, budget=50.0) == search_max(7, 3, prop, budget=50)
+
     @pytest.mark.parametrize(
         "sid,grid",
         [
