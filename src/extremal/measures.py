@@ -10,8 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    islice,
+    product,
+    starmap,
+    takewhile,
+)
+from operator import and_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import SetFamily, columns, enumerate_ksubsets, is_initial, prefix_mask
 
@@ -116,54 +124,81 @@ def is_cross_t_intersecting(fam: SetFamily, other: SetFamily, t: int) -> bool:
     return True
 
 
-def _new_intersections(members: Sequence[int], j: int) -> Iterator[tuple[int, int]]:
-    """Yield (i, mask) once for each distinct intersection of at most j members.
+def _minimal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal masks among `masks`, each once, fewest elements first.
 
-    i is the first level that holds the mask: level 1 is the set of distinct
-    members, and level i is the set of intersections of at most i of them.
-    Semi-naive: level i+1 intersects only the masks new at level i with the
-    members, since every other product is already at level i.  Stops early
-    once a level adds nothing.
+    The masks are taken by size, and each is kept unless a kept mask is a
+    subset of it; a proper subset has fewer elements, so it was taken first.
+    Masks of one size form an antichain already.
     """
-    base = tuple(set(members))
-    seen = set(base)
-    for m in base:
-        yield 1, m
-    frontier = base
+    ms = sorted(set(masks), key=int.bit_count)
+    if not ms or ms[0].bit_count() == ms[-1].bit_count():
+        return ms
+    out: list[int] = []
+    for m in ms:
+        for s in out:
+            if s & m == s:
+                break
+        else:
+            out.append(m)
+    return out
+
+
+def _intersection_levels(
+    members: Sequence[int], j: int, stop_below: int = 0
+) -> Iterator[tuple[int, list[int] | None]]:
+    """Yield (least, level) for i = 1..j: the antichain walk over the intersection levels.
+
+    I_i is the set of intersections of at most i members (repetition allowed),
+    and level i is Min(I_i), its inclusion-minimal masks: level 1 is
+    Min(members), and Min(I_{i+1}) = Min{s & m : s in Min(I_i), m in Min(members)}
+    (at level 2 one product per unordered pair, since & commutes).  `least`
+    is the fewest elements in a mask of I_i; a minimum over I_i is one over
+    Min(I_i), since every mask contains a minimal one.  The last level is only
+    scanned for its least size, not minimised, so it is yielded as None.  Once
+    a level's least is below `stop_below`, it is yielded with None and the walk
+    ends: that value is below `stop_below` exactly when the true minimum is.
+    An empty product ends a level's products at once, since it is then that
+    level's only minimal mask.
+    """
+    base = level = _minimal(members)
+    least = base[0].bit_count()
+    yield least, base
     for i in range(2, j + 1):
-        nxt = []
-        for s in frontier:
-            for m in base:
-                x = s & m
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-                    yield i, x
-        if not nxt:
+        if i == 2:
+            pairs = combinations_with_replacement(base, 2)
+            count = len(base) * (len(base) + 1) // 2
+        else:
+            pairs = product(level, base)
+            count = len(level) * len(base)
+        # the stream stops at the first empty product: then Min of this level is {0}
+        products = list(takewhile(bool, starmap(and_, pairs)))
+        if len(products) < count:
+            least, level = 0, [0]
+        elif i < j:
+            level = _minimal(products)
+            least = level[0].bit_count()
+        else:
+            least = min(map(int.bit_count, set(products)))
+        if least < stop_below:
+            yield least, None
             return
-        frontier = nxt
+        yield least, (level if i < j else None)
 
 
-def _min_intersection_over(members: Sequence[int], j: int, stop_below: int | None = None) -> int:
+def _min_intersection_over(members: Sequence[int], j: int, stop_below: int = 0) -> int:
     """Minimum |F_1 ∩ ... ∩ F_j| over j members, repetition allowed.
 
-    That is the minimum over the level I_j of `_new_intersections`, which
-    builds the levels semi-naively: each level intersects only the masks new
-    at the previous level with the members.  With
-    `stop_below` set, returns the size of the first intersection found below
-    it: the result is below `stop_below` exactly when the minimum is, and
-    equals the minimum otherwise.
+    That is the last `least` of `_intersection_levels`.  With `stop_below`
+    set, returns the least of the first level found below it: the result is
+    below `stop_below` exactly when the minimum is, and equals the minimum
+    otherwise.
     """
     if not members:
         raise ValueError("empty member list")
-    best = None
-    for _, m in _new_intersections(members, j):
-        size = m.bit_count()
-        if best is None or size < best:
-            best = size
-            if stop_below is not None and size < stop_below:
-                return size
-    return best
+    for least, _ in _intersection_levels(members, j, stop_below):
+        pass
+    return least
 
 
 def is_r_wise_t_intersecting_masks(members: Sequence[int], r: int, t: int) -> bool:
@@ -183,6 +218,9 @@ def is_r_wise_t_intersecting(fam: SetFamily, r: int, t: int) -> bool:
 def t_level(fam: SetFamily, j: int) -> int:
     """Largest t such that the family is j-wise t-intersecting.
 
+    The fewest elements in an intersection of at most j members, read off the
+    antichain walk of `_intersection_levels`: only inclusion-minimal
+    intersections are kept from level to level, and the last level is scanned.
     Convention: k for the empty family (documented; excluded from theorem checks).
     """
     if j < 2:
@@ -299,21 +337,24 @@ def transversal_number(fam: SetFamily, t: int) -> int:
 class _ClosureTester:
     """Addability of k-sets to a growing family under an r-wise t rule.
 
-    Keeps the levels I_1 ⊆ ... ⊆ I_{r-1} of the family, built by
-    `_new_intersections`.  A k-set c may join iff |c| >= t and
-    |c ∩ S| >= t for every S in I_{r-1}; with `whole_family`, nothing may
-    join unless the family itself is r-wise t-intersecting, which holds iff
-    each member would pass the same test.  `add(c)` updates the levels from
-    the top down: level i gains c and c ∩ S for each S in the old level i-1.
+    Keeps the levels 1..r-1 of the family's `_intersection_levels`: level 1
+    is the member set (k-sets already form an antichain), and level i >= 2 is
+    Min(I_i), the inclusion-minimal intersections of at most i members.  A
+    k-set c may join iff |c| >= t and |c ∩ S| >= t for every S in the top
+    level; that test is monotone under inclusion, so the minimal masks decide
+    it for all of I_{r-1}.  With `whole_family`, nothing may join unless the
+    family itself is r-wise t-intersecting, which holds iff each member would
+    pass the same test.  `add(c)` updates the levels from the top down: level
+    i gains c and c ∩ S for each S in the old level i-1, and drops every mask
+    that contains one of them.
     """
 
     def __init__(self, members: Sequence[int], r: int, t: int, whole_family: bool):
         self.t = t
-        self.levels = [set() for _ in range(r - 1)]
-        for i, m in _new_intersections(members, r - 1):
-            self.levels[i - 1].add(m)
-        for i in range(1, r - 1):
-            self.levels[i] |= self.levels[i - 1]
+        self.levels = [set(members)] + [set() for _ in range(r - 2)]
+        if members and r > 2:
+            walk = islice(_intersection_levels(members, r), 1, r - 1)
+            self.levels[1:] = [set(level) for _, level in walk]
         self.open = True
         if whole_family:
             self.open = all(self.admits(m) for m in members)
@@ -329,8 +370,7 @@ class _ClosureTester:
     def add(self, cand: int) -> None:
         levels = self.levels
         for i in range(len(levels) - 1, 0, -1):
-            levels[i].update([cand & s for s in levels[i - 1]])
-            levels[i].add(cand)
+            levels[i] = set(_minimal([*levels[i], cand, *(cand & s for s in levels[i - 1])]))
         levels[0].add(cand)
 
 
@@ -357,8 +397,9 @@ def is_saturated(fam: SetFamily, addable) -> bool:
 
     `addable(members)` returns a tester for this family; the tester's
     `admits(c)` says whether the k-set c can join.  The tester is started
-    once, so the r-wise rules build the intersection levels
-    I_1 ⊆ ... ⊆ I_{r-1} of the family once for all candidates.
+    once, so the r-wise rules build the minimal-mask levels of the family
+    (`_ClosureTester`) once for all candidates, and each candidate is tested
+    against the inclusion-minimal masks of I_{r-1} only.
     """
     if not fam.members:
         return False
@@ -375,9 +416,11 @@ def grow(fam: SetFamily, addable, candidates: Sequence[int]) -> SetFamily:
     Starts one tester for the family (`addable(members)`), asks it
     `admits(c)` for each candidate outside the family, and tells it `add(c)`
     for each one that joins, so the tester keeps its state across the whole
-    growth.  The r-wise rules keep the levels I_1 ⊆ ... ⊆ I_{r-1}; `add(c)`
-    updates them from the top level down, level i gaining c and c ∩ S for
-    each S in the old level i-1.  Both shipped rules are hereditary: a k-set
+    growth.  The r-wise rules keep the levels Min(I_1), ..., Min(I_{r-1}),
+    the inclusion-minimal intersections of at most 1, ..., r-1 members;
+    `add(c)` updates them from the top level down, level i gaining c and
+    c ∩ S for each S in the old level i-1 and dropping every mask that
+    contains one of them.  Both shipped rules are hereditary: a k-set
     refused once stays refused as the family grows, so one pass over the
     candidates leaves a maximal family.
     """
@@ -414,10 +457,12 @@ class MeasureProfile:
 
 def measure_profile(fam: SetFamily) -> MeasureProfile:
     tau = {}
+    levels = dict.fromkeys(range(2, 5), fam.k)
     if fam.members:
         for t in range(1, fam.k + 1):
             tau[t] = transversal_number(fam, t)
-    levels = {j: t_level(fam, j) for j in range(2, 5)}
+        walk = islice(_intersection_levels(fam.members, 4), 1, None)
+        levels = {j: least for j, (least, _) in enumerate(walk, 2)}
     return MeasureProfile(
         rho=rho(fam),
         tau=tau,

@@ -54,6 +54,73 @@ from extremal.verify.recipes import MUST_BE_NONVACUOUS, VACUOUS_ONLY, suite_conf
 # suite order; a change to any verdict, total, witness or extra changes it
 SUITE_RESULT_SHA256 = "4cdd7a5e53995772d0f0db4260c34cc7cbd4272078180c40632e579da7e4e421"
 
+# the first 16 hex digits of sha256 over json.dumps(result, sort_keys=True) of each
+# entry, keyed "<index> <id> <mode>", so that a changed hash names the entries it moved
+SUITE_ENTRY_SHA256 = {
+    "00 BD_5_1 sample": "0cced0270a5c2dd2",
+    "01 BINOM_1_11 sample": "ee0e16ce3cc83121",
+    "02 BINOM_1_13 sample": "14c1d697fe19c930",
+    "03 COR_1_6_1_7 sample": "972c7452ad9f7af3",
+    "04 COR_4_4 sample": "bbfff3df2280b5dd",
+    "05 CROSS_SHADOW sample": "a470c530bdb3c3f7",
+    "06 DICHOTOMY sample": "e9db98728f959c74",
+    "07 EKR_1_1 sample": "a95e09ea6af89fd8",
+    "08 EQ_2_1 sample": "a575bde6772ea80e",
+    "09 FACT_3_1 sample": "fb8193cecfaecd83",
+    "10 FACT_3_13 sample": "18de48210c2ac7fa",
+    "11 FK_IMPROVED sample": "7d795edf52645c39",
+    "12 G_THEOREM sample": "3ad68000ad8755ae",
+    "13 HILTON sample": "9bdacd7a3648b058",
+    "14 IDENTITY_2_3 sample": "b4e4a379d9f1d7a1",
+    "15 IDENTITY_3_2 sample": "ae1742dcd500b476",
+    "16 KATONA sample": "9951daf62f06a9f3",
+    "17 KATONA_PSEUDO sample": "9adedc4375d66665",
+    "18 KRUSKAL_KATONA sample": "88fb660fcce31ca1",
+    "19 LEM_3_3 sample": "5dde0780e898a6c4",
+    "20 LEM_3_5 sample": "89caa5d08089bcba",
+    "21 LEM_3_7 sample": "d5c7ea0f33094d8f",
+    "22 LEM_3_8 sample": "5c422d461599fb0c",
+    "23 LEM_4_6 sample": "6a7fde939fa25f53",
+    "24 LEM_5_2 sample": "41e2e78d3c7c144f",
+    "25 LEM_FW_1 sample": "41246264ad62c0a0",
+    "26 LEM_FW_2 sample": "673ca2182abbef92",
+    "27 MATCHING_COR sample": "99cc1be285e044d0",
+    "28 PROP_1_2 sample": "98d45e5135924be9",
+    "29 PROP_1_3 sample": "69473dcc4b6d229f",
+    "30 PROP_3_13 sample": "1450b3876e1fb57d",
+    "31 PROP_3_14 sample": "1af6a1f7d8803745",
+    "32 PROP_3_15 sample": "2c4f4a72213c9f9c",
+    "33 PROP_3_2 sample": "7f07c884f51d5ea3",
+    "34 PROP_3_4 sample": "3a5ea92ada8bfaab",
+    "35 PROP_4_1 sample": "4878714073d7d47f",
+    "36 PROP_4_3 sample": "ec5deda6c3e66c4b",
+    "37 PROP_5_3 sample": "4ab98899dc438be5",
+    "38 RWISE_5_2 sample": "62d7853813bb77b3",
+    "39 SUM_1_15 sample": "32463cad4dca8816",
+    "40 THM_1_10 sample": "e1a0585648446a90",
+    "41 THM_1_11 sample": "834601ae70fa9a6b",
+    "42 THM_1_5 sample": "858fa42317760756",
+    "43 THM_1_6 sample": "7f841ee623998699",
+    "44 THM_1_9 sample": "fd646723aaed1f5c",
+    "45 TOKUSHIGE sample": "d9e47e7677dfb8e2",
+    "46 WALK_1_5 sample": "92472620290c023c",
+    "47 PROP_1_3 exhaustive": "129663d2cf63eb74",
+    "48 EKR_1_1 exhaustive": "449fe0b47f6b266a",
+    "49 DICHOTOMY exhaustive": "701a380627a50e49",
+    "50 KATONA exhaustive": "a00fdb211e1a59ed",
+    "51 HILTON exhaustive": "a1679cac31a3f3f4",
+    "52 KRUSKAL_KATONA exhaustive": "c49faa12a260f372",
+    "53 EQ_2_1 exhaustive": "4fd543612c31bea6",
+    "54 MATCHING_COR exhaustive": "e9919a8345237bf7",
+    "55 PROP_3_15 exhaustive": "76de09b47b8f4d4d",
+    "56 G_THEOREM exhaustive": "8f7777896792a431",
+    "57 FACT_3_1 exhaustive": "6459945187321e6c",
+    "58 IDENTITY_3_2 exhaustive": "67b8046a34fbfd2f",
+    "59 BINOM_1_11 exhaustive": "dbab749d0fa5ed06",
+    "60 BINOM_1_13 exhaustive": "21e5a15bed2bfea2",
+    "61 FACT_3_13 exhaustive": "b8f195a13ed4051c",
+}
+
 
 def report_line(idx, name, ok, elapsed):
     status = "PASS" if ok else "FAIL"
@@ -267,13 +334,22 @@ def test_criterion_9_registry_soundness():
         print(f"    vacuous-only {sid}: all {total} instances vacuous "
               "(hypothesis unreachable at desk scale)")
     digest = hashlib.sha256()
-    for r in reports:
-        digest.update(json.dumps(r["result"], sort_keys=True).encode())
+    entry_digests = {}
+    for idx, r in enumerate(reports):
+        blob = json.dumps(r["result"], sort_keys=True).encode()
+        digest.update(blob)
+        key = f"{idx:02d} {r['result']['id']} {r['config']['mode']}"
+        entry_digests[key] = hashlib.sha256(blob).hexdigest()[:16]
     reproduced = digest.hexdigest() == SUITE_RESULT_SHA256
+    changed = sorted(
+        key for key in entry_digests.keys() | SUITE_ENTRY_SHA256.keys()
+        if entry_digests.get(key) != SUITE_ENTRY_SHA256.get(key)
+    )
     elapsed = time.time() - t0
-    ok = not fails and not missing and not uncovered and reproduced
+    ok = not fails and not missing and not uncovered and reproduced and not changed
     report_line(9, f"registry suite: {len(reports)} sweeps, fails={fails}, "
-                   f"missing-nonvacuous={missing}, results reproduced={reproduced}", ok, elapsed)
+                   f"missing-nonvacuous={missing}, results reproduced={reproduced}, "
+                   f"changed entries={changed}", ok, elapsed)
 
 
 def test_criterion_10_extremal_search():

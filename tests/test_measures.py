@@ -11,6 +11,7 @@ from extremal.core import SetFamily, enumerate_ksubsets, link, mask_of
 from extremal.constructions import fano, frankl_family, full_star, projective_plane
 from extremal.measures import (
     _min_intersection_over,
+    _minimal,
     addable_r_wise,
     addable_t_intersecting,
     degree,
@@ -31,7 +32,7 @@ from extremal.measures import (
     transversal_number,
 )
 from extremal.shifting import And
-from extremal.verify.harness import initial_families
+from extremal.verify.harness import gen_slices, initial_families
 
 
 def fam(n, k, *sets):
@@ -540,6 +541,13 @@ class TestProfile:
             prof = measure_profile(f)
             assert all(v >= t for t, v in prof.tau.items())
 
+    def test_t_levels_match_t_level_and_oracle(self):
+        fams = [*all_families(5, 2), *seeded_families(random.Random(21), 7, 3, 40)]
+        for f in fams:
+            levels = measure_profile(f).t_levels
+            assert levels == {j: t_level(f, j) for j in range(2, 5)}, f
+            assert levels == {j: oracle_t_level(f, j) for j in range(2, 5)}, f
+
 
 # The addability callables, the grow loop and the saturation check as they
 # were before the rules kept their intersection levels across calls; kept as
@@ -597,6 +605,12 @@ def reference_levels(members, j):
     ]
 
 
+def reference_minimal(masks):
+    """The masks of which no other given mask is a proper subset."""
+    masks = set(masks)
+    return {m for m in masks if not any(s != m and s & m == s for s in masks)}
+
+
 RULES = [("r-wise", r, addable_r_wise(r), reference_addable_r_wise(r)) for r in (2, 3, 4)] + [
     ("t", t, addable_t_intersecting(t), reference_addable_t(t)) for t in (1, 2, 3)
 ]
@@ -625,20 +639,48 @@ def seeded_families(rng, n, k, count):
     return out
 
 
+def check_min_intersection_over(members, j, want):
+    """`_min_intersection_over` is `want`, and below each stop exactly when `want` is."""
+    assert _min_intersection_over(members, j) == want
+    for stop in range(0, 4):
+        got = _min_intersection_over(members, j, stop_below=stop)
+        if want >= stop:
+            assert got == want
+        else:
+            assert want <= got < stop
+
+
 class TestIntersectionClosure:
     def test_min_intersection_over_all_families_5_2(self):
         for f in all_families(5, 2):
             if not f.members:
                 continue
             for j in range(2, 6):
-                want = oracle_t_level(f, j)
-                assert _min_intersection_over(f.members, j) == want
-                for stop in range(0, 4):
-                    got = _min_intersection_over(f.members, j, stop_below=stop)
-                    if want >= stop:
-                        assert got == want
-                    else:
-                        assert want <= got < stop
+                check_min_intersection_over(f.members, j, oracle_t_level(f, j))
+
+    def test_minimal_matches_brute_force(self):
+        rng = random.Random(93)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(1, 30))]
+            masks += rng.choices(masks, k=rng.randint(0, 5)) + [0] * (rng.random() < 0.1)
+            got = _minimal(masks)
+            assert len(got) == len(set(got))
+            assert set(got) == reference_minimal(masks), masks
+            assert [m.bit_count() for m in got] == sorted(m.bit_count() for m in got)
+        assert _minimal([]) == []
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_min_intersection_over_brace_daykin_slices(self, n, r):
+        rng = random.Random(94 + 10 * n + r)
+        for keep in (0.3, 0.6, 0.9, 1.0):
+            for _ in range(3):
+                members = [m for f in gen_slices(rng, {"mode": "bd-sub", "n": n, "r": r,
+                                                       "keep": keep}) for m in f.members]
+                for j in range(2, 5):
+                    want = reference_min_intersection_over(members, j)
+                    check_min_intersection_over(members, j, want)
 
     def _check_family(self, f, rng):
         cands = list(enumerate_ksubsets(f.n, f.k))
@@ -665,16 +707,20 @@ class TestIntersectionClosure:
 
     @pytest.mark.parametrize("n,k", [(6, 3), (7, 3)])
     def test_levels_follow_adds(self, n, k):
+        # the levels keep only the minimal masks of each level of the oracle
+        def want(members):
+            return [reference_minimal(level) for level in reference_levels(members, r - 1)]
+
         rng = random.Random(92 + n)
         for f in seeded_families(rng, n, k, 12):
             for r in (2, 3, 4):
                 tester = addable_r_wise(r)(f.members)
-                assert tester.levels == reference_levels(f.members, r - 1)
+                assert tester.levels == want(f.members)
                 members = list(f.members)
                 for cand in rng.sample(enumerate_ksubsets(n, k), 4):
                     tester.add(cand)
                     members.append(cand)
-                    assert tester.levels == reference_levels(members, r - 1)
+                    assert tester.levels == want(members)
 
     def test_whole_family_rule_only_for_r_wise(self):
         f = fam(5, 2, (1, 2), (3, 4))
