@@ -37,26 +37,36 @@ def lex_segment(x, k: int, m: int, *, n: int | None = None) -> SetFamily:
 
 
 def shadow(fam: SetFamily, l: int = 1) -> SetFamily:
-    """All (k-l)-sets contained in some member; the 0-th shadow is the family."""
+    """All (k-l)-sets contained in some member; the 0-th shadow is the family.
+
+    The l-shadow is l unit levels, each deduplicated: a level holds m ^ low
+    over the bits low of each mask m of the level above, so a member costs
+    k bit operations per level rather than C(k, l) dropped tuples.
+    """
     if not 0 <= l <= fam.k:
         raise ValueError(f"shadow depth l={l} outside [0, k={fam.k}]")
     if l == 0:
         return fam
-    out = set()
-    for m in fam.members:
-        for drop in combinations(elems_of(m), l):
-            d = m
-            for e in drop:
-                d ^= 1 << (e - 1)
-            out.add(d)
-    return SetFamily(fam.n, fam.k - l, sorted(out), _trusted=True)
+    level = fam.members
+    for _ in range(l):
+        out = set()
+        for m in level:
+            rest = m
+            while rest:
+                low = rest & -rest
+                out.add(m ^ low)
+                rest ^= low
+        level = out
+    return SetFamily(fam.n, fam.k - l, sorted(level), _trusted=True)
 
 
+@lru_cache(maxsize=4096)
 def kk_min_shadow(n: int, k: int, m: int, l: int) -> int:
     """Minimum l-th shadow size over families of m k-sets.
 
     Attained by the first m sets in colex order (= ascending mask order),
-    materialized directly rather than through the cascade formula.
+    materialized directly rather than through the cascade formula.  Memoised
+    per (n, k, m, l); a refused m or l raises on every call.
     """
     if not 0 <= m <= comb(n, k):
         raise ValueError(f"m={m} outside [0, C({n},{k})]")

@@ -445,6 +445,34 @@ def _refuse_from_exponent(least: int, most: int, budget: int) -> None:
         raise BudgetError(f"estimated 2**{most + 1} evaluations{bound} exceed budget {budget}")
 
 
+def _duals(n: int, k: int, l: int, t: int):
+    """Each set A of k-sets of [n], in ascending bits over `enumerate_ksubsets(n, k)`,
+    with the l-sets that B may contain: those t-compatible with every member of A."""
+    a_masks, rows = enumerate_ksubsets(n, k), _cross_rows(n, l, t)
+    for abits in range(1 << comb(n, k)):
+        members = _decode(abits, a_masks)
+        yield members, _dual(members, rows)
+
+
+@cache
+def _count_space(space: str, n: int, k: int, l: int, t: int, budget: int) -> int:
+    """The instance count of an `initial`, `initial-pairs` or `dual-pairs` space,
+    by the walk that its stream reads, kept for the process per budget.
+
+    A refusal raises a `BudgetError`, which is not kept, so a refused count
+    walks again, and refuses with the same message, on every call.
+    """
+    if space == "initial":
+        walk = (1 for _ in _downsets(n, k))
+    elif space == "initial-pairs":
+        rows = _cross_rows(n, l, t)
+        walk = (1 for a in _downsets(n, k) for _ in _downsets(n, l, _dual(a, rows)))
+    else:
+        # a `dual-pairs` A counts 2**|dual(A)| pairs
+        walk = (1 << dual.bit_count() for _, dual in _duals(n, k, l, t))
+    return _count_within(walk, budget)
+
+
 def _space(space: str, grid: dict, params: dict, budget: int):
     """The instance count and the instance stream of one space.
 
@@ -453,9 +481,9 @@ def _space(space: str, grid: dict, params: dict, budget: int):
     space is listed whole; `initial-pairs` builds each family once, when first
     met.  A space is first refused from the exponent of its least size, before
     anything is listed.  The `initial` spaces and `dual-pairs` are then counted
-    by the walk that their stream reads, which builds no instance and stops
-    once two evaluations per instance pass the budget; a `dual-pairs` A counts
-    2**|dual(A)| pairs.  Both pair spaces read A's t-dual as the AND of the
+    by the walk that their stream reads (`_count_space`, kept for the process
+    per budget), which builds no instance and stops once two evaluations per
+    instance pass the budget.  Both pair spaces read A's t-dual as the AND of the
     rows of A's members in `_cross_rows(n, l, t)`.
     """
     if space == "grid":
@@ -509,7 +537,8 @@ def _space(space: str, grid: dict, params: dict, budget: int):
     # the downset walk is output-sensitive: the initial spaces are counted by walking them
     if space == "initial":
         _refuse_from_exponent(_antichain_exponent(n, k), m, budget)
-        count = _count_within((1 for _ in _downsets(n, k)), budget)
+        # the count reads neither l nor t, so one key serves every l and t
+        count = _count_space(space, n, k, k, 0, budget)
 
         def stream():
             for members in _downsets(n, k):
@@ -523,10 +552,8 @@ def _space(space: str, grid: dict, params: dict, budget: int):
         least = max(_antichain_exponent(n, k), _antichain_exponent(n, l))
         _refuse_from_exponent(least, m + comb(n, l), budget)
         t = params.get("t", 1)
+        count = _count_space(space, n, k, l, t, budget)
         rows = _cross_rows(n, l, t)
-        count = _count_within(
-            (1 for a in _downsets(n, k) for _ in _downsets(n, l, _dual(a, rows))), budget
-        )
 
         def stream():
             # one object per family, so its cached measures serve every pair it is in
@@ -541,19 +568,11 @@ def _space(space: str, grid: dict, params: dict, budget: int):
         # every A pairs with B = {}, and A = {} with every B
         _refuse_from_exponent(max(m, comb(n, l)), m + comb(n, l), budget)
         t = params.get("t", 1)
-
-        def duals():
-            # B may contain exactly the sets t-compatible with every chosen A-member
-            a_masks, rows = enumerate_ksubsets(n, k), _cross_rows(n, l, t)
-            for abits in range(1 << m):
-                members = _decode(abits, a_masks)
-                yield members, _dual(members, rows)
-
-        count = _count_within((1 << dual.bit_count() for _, dual in duals()), budget)
+        count = _count_space(space, n, k, l, t, budget)
 
         def stream():
             b_masks = enumerate_ksubsets(n, l)
-            for members, dual in duals():
+            for members, dual in _duals(n, k, l, t):
                 fa = fam(k, members)
                 sub = dual
                 while True:

@@ -49,6 +49,24 @@ def cross_shadow_verdict(a, b, t, l1, l2):
     return check_statement("CROSS_SHADOW", Instance((a, b), {"t": t, "l1": l1, "l2": l2})).verdict
 
 
+def reference_shadow(f, l):
+    """The l-shadow's member tuple by dropping each l-subset of each member's elements."""
+    out = set()
+    for m in f.members:
+        for drop in combinations(elems_of(m), l):
+            d = m
+            for e in drop:
+                d ^= 1 << (e - 1)
+            out.add(d)
+    return tuple(sorted(out))
+
+
+def reference_kk_min_shadow(n, k, m, l):
+    """The l-shadow size of the first m k-sets of [n] in colex order, ranked afresh."""
+    colex = sorted(combinations(range(1, n + 1), k), key=lambda c: c[::-1])[:m]
+    return len(reference_shadow(SetFamily.from_sets(n, k, colex), l))
+
+
 def fam(n, k, *sets):
     return SetFamily.from_sets(n, k, sets)
 
@@ -131,6 +149,32 @@ class TestShadow:
         with pytest.raises(ValueError):
             shadow(fam(5, 2, (1, 2)), 3)
 
+    def test_matches_reference_on_every_small_family(self):
+        # every family with C(n, k) <= 10, at every depth
+        cases = 0
+        for n in range(2, 11):
+            for k in range(n + 1):
+                masks = enumerate_ksubsets(n, k)
+                if len(masks) > 10:
+                    continue
+                for bits in range(1 << len(masks)):
+                    f = SetFamily(n, k, [x for i, x in enumerate(masks) if bits >> i & 1])
+                    for l in range(k + 1):
+                        out = shadow(f, l)
+                        assert (out.n, out.k) == (n, k - l)
+                        assert out.members == reference_shadow(f, l), (f.sets(), l)
+                        cases += 1
+        assert cases == 30_016
+
+    def test_matches_reference_on_random_families(self):
+        rng = random.Random(34)
+        for _ in range(500):
+            n = rng.randint(2, 12)
+            k = rng.randint(0, n)
+            f = rand_family(rng, n, k, rng.random())
+            l = rng.randint(0, k)
+            assert shadow(f, l).members == reference_shadow(f, l), (f.sets(), l)
+
 
 class TestKKMin:
     def test_small_values(self):
@@ -158,6 +202,24 @@ class TestKKMin:
         for _ in range(100):
             f = rand_family(rng, 8, 3, rng.random())
             assert len(shadow(f, 1)) >= kk_min_shadow(8, 3, len(f), 1)
+
+    def test_memoised_floor_matches_a_fresh_colex_segment(self):
+        kk_min_shadow.cache_clear()
+        for warm in (False, True):
+            for n in range(2, 8):
+                for k in range(n + 1):
+                    for m in range(comb(n, k) + 1):
+                        for l in range(k + 1):
+                            want = reference_kk_min_shadow(n, k, m, l)
+                            assert kk_min_shadow(n, k, m, l) == want, (n, k, m, l, warm)
+        assert kk_min_shadow.cache_info().hits > 0
+
+    @pytest.mark.parametrize("n,k,m,l", [(6, 3, -1, 1), (6, 3, 21, 1), (6, 3, 4, 4), (6, 3, 4, -1)])
+    def test_refusal_is_raised_on_every_call(self, n, k, m, l):
+        # an exception is not memoised, so a refused m or l is refused again
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"m=|shadow depth"):
+                kk_min_shadow(n, k, m, l)
 
 
 class TestHilton:

@@ -1125,6 +1125,73 @@ def reference_dual_members(a_fam, l, t):
     ]
 
 
+def reference_count(space, n, k, l, t, budget):
+    """A space's count by a fresh `_count_within` walk over the reference listers."""
+    from extremal.verify.harness import _count_within
+
+    if space == "initial":
+        walk = (1 for _ in reference_initial_families(n, k))
+    elif space == "initial-pairs":
+        right = reference_initial_families(n, l)
+        walk = (1 for a in reference_initial_families(n, k) for b in right
+                if all((x & y).bit_count() >= t for x in a for y in b))
+    else:
+        # the As in ascending bits, as the stream meets them, so a refusal stops at the same A
+        masks = enumerate_ksubsets(n, k)
+        walk = (
+            1 << len(reference_dual_members(
+                SetFamily(n, k, [x for i, x in enumerate(masks) if abits >> i & 1]), l, t))
+            for abits in range(1 << len(masks))
+        )
+    return _count_within(walk, budget)
+
+
+class TestCountCache:
+    """A space's count is walked once per (space, n, k, l, t, budget); a refusal is not kept."""
+
+    def test_cached_count_matches_a_fresh_walk(self):
+        from extremal.verify.harness import _count_space
+
+        # small enough that some pair grids of each space are refused mid-walk
+        budget = 4_000
+        _count_space.cache_clear()
+        grids = counted = 0
+        for space in ("initial", "initial-pairs", "dual-pairs"):
+            for n in range(2, 7):
+                for k in range(n + 1):
+                    for l in range(n + 1) if space != "initial" else (k,):
+                        for t in (0, 1, 2) if space != "initial" else (0,):
+                            try:
+                                want = reference_count(space, n, k, l, t, budget)
+                            except BudgetError as err:
+                                want = str(err)
+                            for _ in ("cold", "warm"):
+                                try:
+                                    got = _count_space(space, n, k, l, t, budget)
+                                except BudgetError as err:
+                                    got = str(err)
+                                assert got == want, (space, n, k, l, t)
+                            grids += 1
+                            counted += type(want) is int
+        assert grids == 25 + 2 * 3 * 135 and 0 < counted < grids
+        # every grid that fits the budget was counted once, and read back warm
+        assert _count_space.cache_info().currsize == counted
+        assert _count_space.cache_info().hits == counted
+
+    def test_a_refusal_is_repeated_and_the_default_budget_still_sweeps(self, tmp_path, capsys):
+        from extremal.cli import main
+
+        args = ["verify", "--id", "EQ_2_1", "--exhaustive", "n=9,k=3,space=initial"]
+        for _ in ("cold", "warm"):
+            assert main(args + ["--budget", "43519"]) == 2
+            err = capsys.readouterr().err
+            assert "at least 43520 evaluations exceed budget 43519" in err
+        out = tmp_path / "eq_2_1.json"
+        assert main(args + ["--out", str(out)]) == 0
+        totals = json.loads(out.read_text(encoding="utf-8"))["result"]["totals"]
+        assert sum(totals.values()) == 21_760 and totals["fail"] == 0
+
+
 class TestCrossRows:
     """The cross-pair samplers' B pool, read from the shared table, against the per-member loop."""
 
